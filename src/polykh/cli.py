@@ -310,7 +310,7 @@ def cmd_verify(args) -> int:
     # theorem vs trace along the default order, plus sampled orders
     cube = None
     try:
-        cube = build_cube(diagram, check=True)
+        cube = build_cube(diagram)
         record("theorem-trace", True,
                f"k={diagram.k}" + (" (vacuous)" if diagram.k == 0 else ""))
     except CubeError as exc:
@@ -323,7 +323,7 @@ def cmd_verify(args) -> int:
             order = list(range(1, diagram.k + 1))
             rng.shuffle(order)
             try:
-                other = build_cube(diagram, order=tuple(order), check=True)
+                other = build_cube(diagram, order=tuple(order))
             except CubeError as exc:
                 ok, detail = False, f"order {order}: {_mismatch_detail(exc)}"
                 break
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dir", default=None,
                        help="projection direction dx,dy,dz")
-        p.add_argument("--format", choices=("tsv", "json", "text"),
+        p.add_argument("--format", choices=("tsv", "json"),
                        default="tsv")
         if output:
             p.add_argument("-o", "--output", default=None)

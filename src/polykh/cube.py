@@ -255,12 +255,11 @@ def smooth_crossing_theorem(state: SmoothingState, l: int, choice: int,
                           state.joined + ((l, _crossing_arcs(crossing, choice)),))
 
 
-def resolve(state: SmoothingState, l: int, choice: int,
-            check: bool = True) -> SmoothingState:
+def resolve(state: SmoothingState, l: int, choice: int) -> SmoothingState:
     """Theorem-formula resolution, cross-checked against the trace oracle."""
     traced = smooth_crossing_trace(state, l, choice)
     theorem = smooth_crossing_theorem(state, l, choice)
-    if check and traced.successor != theorem.successor:
+    if traced.successor != theorem.successor:
         raise CubeMismatchError(
             f"formula/trace mismatch at word {state.word}, crossing {l}, "
             f"choice {choice}: formula {theorem.successor.cycle_str()} vs "
@@ -311,8 +310,8 @@ class Cube:
         return self.vertices[tuple(word)]
 
 
-def build_cube(diagram: GoodDiagram, order: Optional[Sequence[int]] = None,
-               check: bool = True) -> Cube:
+def build_cube(diagram: GoodDiagram,
+               order: Optional[Sequence[int]] = None) -> Cube:
     """All 2^k full smoothings, resolving crossings in ``order``.
 
     Partial states are shared down a binary tree over choices; every step is
@@ -334,7 +333,7 @@ def build_cube(diagram: GoodDiagram, order: Optional[Sequence[int]] = None,
             return
         l = order[depth]
         for choice in (0, 1):
-            descend(resolve(state, l, choice, check=check), depth + 1)
+            descend(resolve(state, l, choice), depth + 1)
 
     descend(initial_state(diagram), 0)
     return Cube(diagram, order, vertices, assemble_edges(vertices))
@@ -362,12 +361,12 @@ def assemble_edges(vertices: dict[tuple[int, ...], CubeVertex]) -> tuple[CubeEdg
     return tuple(edges)
 
 
-def state_for(diagram: GoodDiagram, assignments: Sequence[tuple[int, int]],
-              check: bool = True) -> SmoothingState:
+def state_for(diagram: GoodDiagram,
+              assignments: Sequence[tuple[int, int]]) -> SmoothingState:
     """Partial state after resolving (crossing, choice) pairs in order."""
     state = initial_state(diagram)
     for l, choice in assignments:
-        state = resolve(state, l, choice, check=check)
+        state = resolve(state, l, choice)
     return state
 
 

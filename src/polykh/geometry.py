@@ -591,6 +591,9 @@ def deform_add_vertex(link: PolygonalLink, ci: int, pos: int,
     lo, hi = link.component_range(ci)
     gl = lo + pos
     gm = link.successor(gl)
+    if collinear3(link.vertex(gl), point, link.vertex(gm)):
+        raise DeformationError(
+            f"apex {point} lies on the line of edge ({gl},{gm})")
     bad = triangle_obstruction(link, gl, gm, point)
     if bad is not None:
         raise DeformationError(

@@ -8,11 +8,10 @@ the smoothing calculus once projected and refined.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .geometry import (PolygonalLink, validate_link, find_regular_direction,
-                       refine_to_good, GeometryError, DirectionSearchError, vec3)
-from .diagram import build_good_diagram, GoodDiagram
+                       refine_to_good, project_link, GeometryError)
+from .diagram import build_good_diagram
 
 
 def random_link(rng: random.Random, max_vertices: int = 16,
@@ -39,6 +38,10 @@ def random_diagram(seed: int, max_crossings: int = 6,
     """A random link together with a good diagram of at most
     ``max_crossings`` crossings; returns (link, refined link, direction,
     diagram).  Deterministic in ``seed``.
+
+    Refinement keeps the crossing count of the raw projection and draws
+    nothing from the generator, so candidates are screened on the raw count
+    and only a kept one is refined.
     """
     rng = random.Random(seed)
     while True:
@@ -47,9 +50,11 @@ def random_diagram(seed: int, max_crossings: int = 6,
         try:
             direction = find_regular_direction(link, seed=rng.randint(0, 10 ** 6),
                                                budget=2000)
+            k = len(project_link(link, direction).crossings)
+            if not min_crossings <= k <= max_crossings:
+                continue
             refined = refine_to_good(link, direction)
             diagram = build_good_diagram(refined, direction)
         except GeometryError:
             continue
-        if min_crossings <= diagram.k <= max_crossings:
-            return link, refined, direction, diagram
+        return link, refined, direction, diagram

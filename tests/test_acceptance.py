@@ -265,4 +265,4 @@ def test_criterion_8_twelve_crossing_stress(capsys):
     out = capsys.readouterr().out
     table = [line.split("\t") for line in out.strip().splitlines()]
     assert code == 0 and len(table) == 14
-    assert elapsed < 600.0
+    assert elapsed < 120.0

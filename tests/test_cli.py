@@ -68,6 +68,12 @@ class TestDiagram:
         data = json.loads(out)
         assert data["crossings"][0] == [1, 3, 4, 8, 9, 1]
 
+    def test_text_format_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", TREFOIL, "--dir", "0,0,1", "--format", "text"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_diagram_file_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "t.diag"
         code, _, _ = run(capsys, "diagram", TREFOIL, "--dir", "0,0,1",
@@ -137,15 +143,10 @@ class TestVerify:
         # grading bookkeeping and must be reported as an euler failure
         real = polykh.khovanov._edge_images
 
-        def mutant(labels, kind, tail_c, head_c, a, b, c, copy_map):
-            for out_labels, coeff in real(labels, kind, tail_c, head_c,
-                                          a, b, c, copy_map):
-                if kind == "split":
-                    mangled = list(out_labels)
-                    mangled[a] = -mangled[a]
-                    yield tuple(mangled), coeff
-                else:
-                    yield out_labels, coeff
+        def mutant(kind, n, a, b, c):
+            # flip the label of head circle a: bit n - a of an (n+1)-circle mask
+            flip = 1 << (n - a) if kind == "split" else 0
+            return [(t, h ^ flip) for t, h in real(kind, n, a, b, c)]
 
         monkeypatch.setattr(polykh.khovanov, "_edge_images", mutant)
         code, out, _ = run(capsys, "verify", TREFOIL, "--dir", "0,0,1",

@@ -106,7 +106,7 @@ class TestTheoremVsTrace:
         rng = random.Random(99)
         for _ in range(10):
             diagram, _link, _dir = random_diagram(rng)
-            build_cube(diagram, check=True)  # raises CubeMismatchError on any step
+            build_cube(diagram)  # raises CubeMismatchError on any step
 
     def test_mismatch_error_reports_location(self, trefoil_diagram):
         s = initial_state(trefoil_diagram)

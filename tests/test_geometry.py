@@ -207,6 +207,11 @@ class TestDeformation:
         with pytest.raises(DeformationError):
             deform_add_vertex(link, 0, 0, (F(2), F(2), F(0)))
 
+    def test_apex_on_edge_line_rejected(self, square_link):
+        # the midpoint of edge 1-2 spans a degenerate triangle
+        with pytest.raises(DeformationError, match="line of edge"):
+            deform_add_vertex(square_link, 0, 0, (F(1, 2), F(0), F(0)))
+
     def test_cannot_shrink_to_two_vertices(self, square_link):
         smaller = deform_remove_vertex(square_link, 1)
         with pytest.raises(DeformationError):

@@ -1,6 +1,7 @@
 """Jones state sum, chain complex, and rational homology."""
 
 from fractions import Fraction as F
+from itertools import product
 import random
 
 import pytest
@@ -73,6 +74,21 @@ class TestComplex:
             cx = build_complex(cube)
             assert cx.chain_euler() == jones_state_sum(cube)
 
+    def test_generators_match_label_tuples(self, trefoil_cube,
+                                           whitehead_diagram):
+        rng = random.Random(5)
+        cubes = [trefoil_cube, build_cube(whitehead_diagram)]
+        cubes += [build_cube(random_diagram(rng)[0]) for _ in range(4)]
+        for cube in cubes:
+            cx = build_complex(cube)
+            index, diffs = _label_complex(cube)
+            for (word, labels), (i, col) in index.items():
+                mask = sum(1 << (len(labels) - 1 - t)
+                           for t, label in enumerate(labels) if label == -1)
+                assert cx.basis[i][col] == (word, mask)
+            assert {i: dict(d) for i, d in cx.differentials.items() if d} \
+                == diffs
+
     def test_d_squared_rejects_tampering(self, trefoil_cube):
         cx = build_complex(trefoil_cube)
         diffs = {i: dict(d) for i, d in cx.differentials.items()}
@@ -82,6 +98,62 @@ class TestComplex:
             _check_d_squared(cx.basis, diffs)
 
 
+def _label_complex(cube):
+    """The differential straight from the definition, on label tuples.
+
+    Returns {(word, labels): (i, index)} and {i: {(row, col): c}}; circles
+    are ordered by lowest member, and a degree's generators are ordered by
+    word, then by labels in product((+1, -1)) order.
+    """
+    km = cube.diagram.k_minus
+    circles = {w: [frozenset(c) for c in vx.state.successor.cycles()]
+               for w, vx in cube.vertices.items()}
+    index, size = {}, {}
+    for word in sorted(cube.vertices):
+        i = sum(word) - km
+        for labels in product((1, -1), repeat=len(circles[word])):
+            index[(word, labels)] = (i, size.get(i, 0))
+            size[i] = size.get(i, 0) + 1
+    diffs = {}
+    for edge in cube.edges:
+        tail, head = circles[edge.tail], circles[edge.head]
+        gone = [s for s in tail if s not in head]
+        new = [s for s in head if s not in tail]
+        for labels in product((1, -1), repeat=len(tail)):
+            label = dict(zip(tail, labels))
+            if edge.kind == "merge":        # m: ++ -> +, +- and -+ -> -
+                la, lb = (label[s] for s in gone)
+                images = [] if la == lb == -1 else [{new[0]: min(la, lb)}]
+            elif label[gone[0]] == 1:       # Delta: + -> +- + -+
+                images = [{new[0]: 1, new[1]: -1}, {new[0]: -1, new[1]: 1}]
+            else:                           # Delta: - -> --
+                images = [{new[0]: -1, new[1]: -1}]
+            i, col = index[(edge.tail, labels)]
+            for image in images:
+                out = tuple(image.get(s, label.get(s)) for s in head)
+                _i, row = index[(edge.head, out)]
+                diffs.setdefault(i, {})[(row, col)] = edge.sign
+    return index, diffs
+
+
+def _fraction_rank(rows):
+    """Dense Gaussian elimination over Fraction: the reference rank."""
+    cols = sorted({c for row in rows for c in row})
+    matrix = [[F(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for c in range(len(cols)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][c]),
+                     None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            f = matrix[r][c] / matrix[rank][c]
+            matrix[r] = [x - f * y for x, y in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
 class TestRank:
     def test_known_ranks(self):
         rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
@@ -89,6 +161,19 @@ class TestRank:
         rows = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}]
         assert _sparse_rank(rows) == 2
         assert _sparse_rank([]) == 0
+
+    def test_non_unit_pivots(self):
+        # no unit entry: cross-multiplication, then the gcd division
+        assert _sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+        assert _sparse_rank([{0: 2, 1: 3}, {0: 3, 1: 2}]) == 2
+        # a unit entry arriving later takes over the pivot
+        assert _sparse_rank([{0: 2, 1: 2}, {0: 1, 2: 1}, {1: 1, 2: -1}]) == 2
+        assert _sparse_rank([{0: F(1, 2), 1: F(1, 3)}, {0: 3, 1: 2}]) == 1
+
+    @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3),
+                                    max_size=6), max_size=7))
+    def test_rank_matches_fraction_reference(self, rows):
+        assert _sparse_rank(rows) == _fraction_rank(rows)
 
     @given(st.lists(st.dictionaries(st.integers(0, 4),
                                     st.fractions(min_value=-3, max_value=3,
