@@ -12,12 +12,12 @@ agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import GoodDiagram, CrossingRecord
 from .perm import (Permutation, DihedralFactor, compose, conjugate,
-                   reflection_in, canonical_involution)
+                   reflection_in)
 
 
 class CubeError(ValueError):
@@ -325,18 +325,25 @@ def build_cube(diagram: GoodDiagram,
         raise CubeError(f"order must be a permutation of 1..{k}: {order}")
 
     vertices: dict[tuple[int, ...], CubeVertex] = {}
-
-    def descend(state: SmoothingState, depth: int) -> None:
-        if depth == k:
-            vertices[state.word] = CubeVertex(
-                state.word, state, tuple(vertex_group(state)))
-            return
-        l = order[depth]
-        for choice in (0, 1):
-            descend(resolve(state, l, choice), depth + 1)
-
-    descend(initial_state(diagram), 0)
+    _descend(initial_state(diagram), order, vertices)
     return Cube(diagram, order, vertices, assemble_edges(vertices))
+
+
+def _descend(state: SmoothingState, order: tuple[int, ...],
+             vertices: dict) -> None:
+    """Resolve the crossings ``order`` names, choice 0 before choice 1, and
+    put every full smoothing into ``vertices``.
+
+    A module-level function, not a closure over ``vertices``: a recursive
+    closure is a reference cycle, which kept every cube alive until the
+    next full garbage collection.
+    """
+    if not order:
+        vertices[state.word] = CubeVertex(
+            state.word, state, tuple(vertex_group(state)))
+        return
+    for choice in (0, 1):
+        _descend(resolve(state, order[0], choice), order[1:], vertices)
 
 
 def assemble_edges(vertices: dict[tuple[int, ...], CubeVertex]) -> tuple[CubeEdge, ...]:

@@ -1,15 +1,23 @@
 """Exact rational geometry for closed polygonal curves in 3-space.
 
-All predicates are decided with ``fractions.Fraction`` arithmetic; nothing
-here ever touches floating point, so re-running any test gives the same
-answer bit for bit.
+Coordinates are ``fractions.Fraction``s, and nothing here ever touches
+floating point, so re-running any test gives the same answer bit for bit.
+The O(E^2) loops (link validation, regularity and projection, triangle
+obstructions) do not run on Fractions: a point list is scaled once to
+``int`` coordinates by the lcm of its denominators (``_integral``), which
+changes no orientation sign and no segment parameter, and the predicates
+multiply plain ints.  Fractions are made only on a hit, for its parameters,
+its point and the values that leave this module.  Per-call tuples are built
+from lists, not generators, for the reason given in ``perm.compose``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -81,6 +89,18 @@ def collinear3(a: Vec3, b: Vec3, c: Vec3) -> bool:
     return cross3(sub3(b, a), sub3(c, a)) == ZERO3
 
 
+def _integral(points) -> tuple[list[tuple[int, ...]], int]:
+    """``points`` scaled to int coordinates by the lcm of their
+    denominators, and that lcm.
+
+    A positive scale changes no orientation sign and no segment parameter,
+    so every predicate below can run on the scaled points.
+    """
+    m = lcm(*{c.denominator for p in points for c in p})
+    return [tuple([c.numerator * (m // c.denominator) for c in p])
+            for p in points], m
+
+
 # ---------------------------------------------------------------------------
 # the link itself
 
@@ -106,9 +126,9 @@ class PolygonalLink:
 
     @property
     def n(self) -> int:
-        return sum(len(c) for c in self.components)
+        return len(self._owner)
 
-    @property
+    @cached_property
     def boundaries(self) -> tuple[int, ...]:
         """n_1 < n_2 < ... < n_r (n_0 = 0 omitted)."""
         out, tot = [], 0
@@ -117,13 +137,21 @@ class PolygonalLink:
             out.append(tot)
         return tuple(out)
 
+    @cached_property
+    def _owner(self) -> tuple[int, ...]:
+        """The component of global vertex gi, at index gi - 1."""
+        return tuple([ci for ci, comp in enumerate(self.components)
+                      for _ in comp])
+
+    @cached_property
+    def _scaled(self) -> tuple[list[tuple[int, ...]], int]:
+        """All vertices in global order, scaled to ints by ``_integral``."""
+        return _integral(self.all_vertices())
+
     def component_of(self, gi: int) -> int:
-        lo = 0
-        for ci, hi in enumerate(self.boundaries):
-            if lo < gi <= hi:
-                return ci
-            lo = hi
-        raise IndexError(gi)
+        if not 0 < gi <= len(self._owner):
+            raise IndexError(gi)
+        return self._owner[gi - 1]
 
     def component_range(self, ci: int) -> tuple[int, int]:
         """(first, last) global index of component ci."""
@@ -193,9 +221,9 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
     if out:
         return out
 
-    pts = link.all_vertices()
+    pts, _ = link._scaled
     n = link.n
-    seen: dict[Vec3, int] = {}
+    seen: dict[tuple, int] = {}
     for gi, p in enumerate(pts, start=1):
         if p in seen:
             out.append(Violation("duplicate_point", (seen[p], gi),
@@ -215,16 +243,17 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
     edges = link.edges()
     for idx1 in range(len(edges)):
         i1, j1 = edges[idx1]
+        a, b = pts[i1 - 1], pts[j1 - 1]
         for idx2 in range(idx1 + 1, len(edges)):
             i2, j2 = edges[idx2]
-            shared = {i1, j1} & {i2, j2}
-            kind = seg3_intersection(pts[i1 - 1], pts[j1 - 1], pts[i2 - 1], pts[j2 - 1])
-            if kind is None:
+            hit = _seg3_hit(a, b, pts[i2 - 1], pts[j2 - 1])
+            if hit is None:
                 continue
-            tag, data = kind
-            if tag == "point":
-                shared_pts = {pts[g - 1] for g in shared}
-                if data in shared_pts:
+            if hit[0] == "point":
+                # the points are distinct, so the hit is the common endpoint
+                # exactly when it sits at that end of the first edge
+                t, den = hit[1], hit[2]
+                if (t == 0 and i1 in (i2, j2)) or (t == den and j1 in (i2, j2)):
                     continue
                 out.append(Violation("edge_intersection", ((i1, j1), (i2, j2)),
                                      f"edges ({i1},{j1}) and ({i2},{j2}) intersect "
@@ -244,36 +273,48 @@ def seg3_intersection(a: Vec3, b: Vec3, c: Vec3, d: Vec3):
 
     Returns None, ("point", P) or ("overlap", (P, Q)).
     """
-    u, w = sub3(b, a), sub3(d, c)
-    if orient3(a, b, c, d) != 0:
-        return None
-    nrm = cross3(u, w)
-    if nrm == ZERO3:
-        # parallel; intersect only if collinear
-        if cross3(sub3(c, a), u) != ZERO3:
-            return None
-        uu = dot3(u, u)
-        t0, t1 = sorted((Fraction(dot3(sub3(c, a), u), uu),
-                         Fraction(dot3(sub3(d, a), u), uu)))
-        lo, hi = max(t0, Fraction(0)), min(t1, Fraction(1))
-        if lo > hi:
-            return None
-        p, q = add3(a, scale3(u, lo)), add3(a, scale3(u, hi))
-        return ("point", p) if lo == hi else ("overlap", (p, q))
-    # coplanar, non-parallel: reduce to 2D along dominant normal axis
-    k = max(range(3), key=lambda i: abs(nrm[i]))
-    keep = [i for i in range(3) if i != k]
-    p2 = lambda v: (v[keep[0]], v[keep[1]])
-    hit = seg2_intersection(p2(a), p2(b), p2(c), p2(d))
+    hit = _seg3_hit(*_integral((a, b, c, d))[0])
     if hit is None:
         return None
-    tag, data = hit
-    if tag == "point":
-        t, _s, _pt = data
-        return ("point", add3(a, scale3(u, t)))
-    (t0, t1) = data
-    p, q = add3(a, scale3(u, t0)), add3(a, scale3(u, t1))
-    return ("point", p) if t0 == t1 else ("overlap", (p, q))
+    u = sub3(b, a)
+    at = lambda t, den: add3(a, scale3(u, Fraction(t, den)))
+    if hit[0] == "point":
+        return ("point", at(hit[1], hit[2]))
+    _tag, lo, hi, den = hit
+    return ("overlap", (at(lo, den), at(hi, den)))
+
+
+def _seg3_hit(a, b, c, d):
+    """``seg3_intersection`` on int points, with parameters along ab.
+
+    Returns None, ("point", t, den) or ("overlap", t0, t1, den): the
+    parameters are t/den, t0/den < t1/den, with den > 0.
+    """
+    u, w, ca = sub3(b, a), sub3(d, c), sub3(c, a)
+    nrm = cross3(u, w)
+    if dot3(nrm, ca) != 0:
+        return None         # not coplanar
+    if nrm == ZERO3:
+        # parallel; intersect only if collinear
+        if cross3(ca, u) != ZERO3:
+            return None
+        uu = dot3(u, u)
+        if uu == 0:
+            raise GeometryError("degenerate segment")
+        t0, t1 = sorted((dot3(ca, u), dot3(sub3(d, a), u)))
+        lo, hi = max(t0, 0), min(t1, uu)
+        if lo > hi:
+            return None
+        return ("point", lo, uu) if lo == hi else ("overlap", lo, hi, uu)
+    # coplanar, non-parallel: reduce to 2D along dominant normal axis
+    k = max(range(3), key=lambda i: abs(nrm[i]))
+    x, y = [i for i in range(3) if i != k]
+    hit = _seg2_hit((a[x], a[y]), (b[x], b[y]), (c[x], c[y]), (d[x], d[y]))
+    if hit is None:
+        return None
+    if hit[0] == "point":
+        return ("point", hit[1], hit[3])
+    return hit
 
 
 def seg2_intersection(p: Vec2, p2: Vec2, q: Vec2, q2: Vec2):
@@ -282,32 +323,50 @@ def seg2_intersection(p: Vec2, p2: Vec2, q: Vec2, q2: Vec2):
     Returns None, ("point", (t, s, point)) or ("overlap", (t0, t1)) with
     parameters along the first segment.
     """
-    r, s = sub2(p2, p), sub2(q2, q)
-    denom = cross2(r, s)
-    qp = sub2(q, p)
-    if denom != 0:
-        t = Fraction(cross2(qp, s), denom)
-        u = Fraction(cross2(qp, r), denom)
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            pt = (p[0] + t * r[0], p[1] + t * r[1])
-            return ("point", (t, u, pt))
+    hit = _seg2_hit(*_integral((p, p2, q, q2))[0])
+    if hit is None:
         return None
-    if cross2(qp, r) != 0:
+    tag, a, b, den = hit
+    if tag == "overlap":
+        return ("overlap", (Fraction(a, den), Fraction(b, den)))
+    t = Fraction(a, den)
+    r = sub2(p2, p)
+    return ("point", (t, Fraction(b, den), (p[0] + t * r[0], p[1] + t * r[1])))
+
+
+def _seg2_hit(p, p2, q, q2):
+    """``seg2_intersection`` on int points, without Fractions.
+
+    Returns None, ("point", t, s, den) or ("overlap", t0, t1, den): the
+    parameters are t/den along pp2 and s/den along qq2 (s is 0 when the
+    segments are collinear and touch in one point), always with den > 0.
+    """
+    rx, ry = p2[0] - p[0], p2[1] - p[1]
+    sx, sy = q2[0] - q[0], q2[1] - q[1]
+    qx, qy = q[0] - p[0], q[1] - p[1]
+    den = rx * sy - ry * sx
+    if den:
+        t = qx * sy - qy * sx
+        s = qx * ry - qy * rx
+        if den < 0:
+            den, t, s = -den, -t, -s
+        if 0 <= t <= den and 0 <= s <= den:
+            return ("point", t, s, den)
         return None
-    rr = cross2(r, r)  # zero; use dot for projection instead
-    rr = r[0] * r[0] + r[1] * r[1]
+    if qx * ry - qy * rx:
+        return None         # parallel, on different lines
+    rr = rx * rx + ry * ry
     if rr == 0:
         raise GeometryError("degenerate segment")
-    t0 = Fraction(qp[0] * r[0] + qp[1] * r[1], rr)
-    t1 = t0 + Fraction(s[0] * r[0] + s[1] * r[1], rr)
-    t0, t1 = sorted((t0, t1))
-    lo, hi = max(t0, Fraction(0)), min(t1, Fraction(1))
+    t0 = qx * rx + qy * ry
+    t1 = t0 + sx * rx + sy * ry
+    t0, t1 = min(t0, t1), max(t0, t1)
+    lo, hi = max(t0, 0), min(t1, rr)
     if lo > hi:
         return None
     if lo == hi:
-        pt = (p[0] + lo * r[0], p[1] + lo * r[1])
-        return ("point", (lo, Fraction(0), pt))
-    return ("overlap", (lo, hi))
+        return ("point", lo, 0, rr)
+    return ("overlap", lo, hi, rr)
 
 
 def point_on_seg2(x: Vec2, a: Vec2, b: Vec2) -> bool:
@@ -333,12 +392,13 @@ def chart_basis(direction: Vec3) -> tuple[Vec3, Vec3]:
         raise GeometryError("direction must be nonzero")
     k = max(range(3), key=lambda i: abs(d[i]))
     a, b, c = d
+    o = a - a   # zero of the direction's own number type
     if k == 0:
-        u, v = (-b, a, Fraction(0)), (-c, Fraction(0), a)
+        u, v = (-b, a, o), (-c, o, a)
     elif k == 1:
-        u, v = (b, -a, Fraction(0)), (Fraction(0), -c, b)
+        u, v = (b, -a, o), (o, -c, b)
     else:
-        u, v = (c, Fraction(0), -a), (Fraction(0), c, -b)
+        u, v = (c, o, -a), (o, c, -b)
     if dot3(cross3(u, v), d) < 0:
         u, v = v, u
     assert dot3(cross3(u, v), d) > 0
@@ -370,43 +430,10 @@ class Projection:
 
 def project_link(link: PolygonalLink, direction: Vec3) -> Projection:
     """Project; raises GeometryError if the direction is not regular."""
-    witness = regularity_witness(link, direction)
+    witness, proj = _project(link, direction)
     if witness is not None:
         raise GeometryError(f"direction {direction} not regular: {witness}")
-    return _project_unchecked(link, direction)
-
-
-def _project_unchecked(link: PolygonalLink, direction: Vec3) -> Projection:
-    u, v = chart_basis(direction)
-    pts3 = link.all_vertices()
-    pts2 = tuple((dot3(u, p), dot3(v, p)) for p in pts3)
-    crossings = []
-    edges = link.edges()
-    for idx1 in range(len(edges)):
-        e1 = edges[idx1]
-        for idx2 in range(idx1 + 1, len(edges)):
-            e2 = edges[idx2]
-            if {e1[0], e1[1]} & {e2[0], e2[1]}:
-                continue
-            hit = seg2_intersection(pts2[e1[0] - 1], pts2[e1[1] - 1],
-                                    pts2[e2[0] - 1], pts2[e2[1] - 1])
-            if hit is None or hit[0] != "point":
-                continue
-            t, s, pt = hit[1]
-            h1 = _depth_at(link, direction, e1, t)
-            h2 = _depth_at(link, direction, e2, s)
-            if h1 > h2:
-                crossings.append(RawCrossing(e1, e2, pt, t, s))
-            else:
-                crossings.append(RawCrossing(e2, e1, pt, s, t))
-    return Projection(link, direction, (u, v), pts2, tuple(crossings))
-
-
-def _depth_at(link: PolygonalLink, direction: Vec3, edge, t: Fraction) -> Fraction:
-    p = link.vertex(edge[0])
-    q = link.vertex(edge[1])
-    pt = add3(p, scale3(sub3(q, p), t))
-    return dot3(direction, pt)
+    return proj
 
 
 def regularity_witness(link: PolygonalLink, direction: Vec3):
@@ -419,57 +446,81 @@ def regularity_witness(link: PolygonalLink, direction: Vec3):
     calculus cannot label.  The rejected set is still a finite union of planes
     and lines, so sampling terminates.
     """
-    if direction == ZERO3:
-        return ("zero_direction", ())
-    u, v = chart_basis(direction)
-    pts3 = link.all_vertices()
-    pts2 = [(dot3(u, p), dot3(v, p)) for p in pts3]
-    n = link.n
-
-    images: dict[Vec2, int] = {}
-    for gi in range(1, n + 1):
-        q = pts2[gi - 1]
-        if q in images:
-            return ("vertex_collision", (images[q], gi))
-        images[q] = gi
-
-    edges = link.edges()
-    for gi in range(1, n + 1):
-        for (a, b) in edges:
-            if gi in (a, b):
-                continue
-            if point_on_seg2(pts2[gi - 1], pts2[a - 1], pts2[b - 1]):
-                return ("vertex_on_edge", (gi, (a, b)))
-
-    double_points: dict[Vec2, tuple] = {}
-    for idx1 in range(len(edges)):
-        e1 = edges[idx1]
-        for idx2 in range(idx1 + 1, len(edges)):
-            e2 = edges[idx2]
-            shared = {e1[0], e1[1]} & {e2[0], e2[1]}
-            hit = seg2_intersection(pts2[e1[0] - 1], pts2[e1[1] - 1],
-                                    pts2[e2[0] - 1], pts2[e2[1] - 1])
-            if hit is None:
-                continue
-            if hit[0] == "overlap":
-                return ("segment_overlap", (e1, e2))
-            t, s, pt = hit[1]
-            if shared:
-                shared_img = pts2[shared.pop() - 1]
-                if pt != shared_img:
-                    return ("adjacent_crossing", (e1, e2))
-                continue
-            # vertex-on-edge already excluded, so this is interior-interior
-            if pt in double_points:
-                return ("triple_point", (double_points[pt], (e1, e2)))
-            double_points[pt] = (e1, e2)
-    return None
+    return _project(link, direction)[0]
 
 
 def is_regular_direction(link: PolygonalLink, direction: Vec3):
     """(bool, witness-or-None)."""
     w = regularity_witness(link, direction)
     return (w is None, w)
+
+
+def _project(link: PolygonalLink, direction: Vec3):
+    """(witness, None), or (None, projection) for a regular ``direction``.
+
+    One pass decides regularity and collects the crossings.  The witness is
+    the first failure in this order: vertex images collide (by vertex); a
+    vertex image lies on an edge it does not bound (by vertex, then edge);
+    then, over edge pairs in order, two images overlap, adjacent edges cross
+    beyond their common vertex, or a double point repeats.
+    """
+    if direction == ZERO3:
+        return ("zero_direction", ()), None
+    pts, m = link._scaled
+    (d,), c = _integral((direction,))
+    scale = m * c
+    u, v = chart_basis(d)       # c * chart_basis(direction)
+    img = [(dot3(u, p), dot3(v, p)) for p in pts]   # scale * chart image
+
+    images: dict[tuple, int] = {}
+    for gi, q in enumerate(img, start=1):
+        if q in images:
+            return ("vertex_collision", (images[q], gi)), None
+        images[q] = gi
+
+    edges = link.edges()
+    for gi, q in enumerate(img, start=1):
+        for (a, b) in edges:
+            if gi != a and gi != b and point_on_seg2(q, img[a - 1], img[b - 1]):
+                return ("vertex_on_edge", (gi, (a, b))), None
+
+    depth = [dot3(d, p) for p in pts]      # scale * height
+    crossings = []
+    double_points: dict[Vec2, tuple] = {}
+    for idx1, e1 in enumerate(edges):
+        a1, b1 = e1
+        p, p2 = img[a1 - 1], img[b1 - 1]
+        for idx2 in range(idx1 + 1, len(edges)):
+            e2 = a2, b2 = edges[idx2]
+            hit = _seg2_hit(p, p2, img[a2 - 1], img[b2 - 1])
+            if hit is None:
+                continue
+            tag, t, s, den = hit
+            if tag == "overlap":
+                return ("segment_overlap", (e1, e2)), None
+            if a1 in e2 or b1 in e2:
+                # vertex images are distinct, so the hit is the common
+                # vertex exactly when it sits at that end of e1
+                if (t == 0 and a1 in e2) or (t == den and b1 in e2):
+                    continue
+                return ("adjacent_crossing", (e1, e2)), None
+            # vertex-on-edge already excluded, so this is interior-interior
+            pt = (Fraction(p[0] * den + t * (p2[0] - p[0]), den * scale),
+                  Fraction(p[1] * den + t * (p2[1] - p[1]), den * scale))
+            if pt in double_points:
+                return ("triple_point", (double_points[pt], (e1, e2))), None
+            double_points[pt] = (e1, e2)
+            # den * scale * height of each edge at the crossing
+            h1 = depth[a1 - 1] * den + t * (depth[b1 - 1] - depth[a1 - 1])
+            h2 = depth[a2 - 1] * den + s * (depth[b2 - 1] - depth[a2 - 1])
+            t, s = Fraction(t, den), Fraction(s, den)
+            if h1 > h2:
+                crossings.append(RawCrossing(e1, e2, pt, t, s))
+            else:
+                crossings.append(RawCrossing(e2, e1, pt, s, t))
+    chart = tuple([tuple([Fraction(x, c) for x in w]) for w in (u, v)])
+    points2d = tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in img])
+    return None, Projection(link, direction, chart, points2d, tuple(crossings))
 
 
 def find_regular_direction(link: PolygonalLink, seed: int = 0,
@@ -529,7 +580,10 @@ def _point_in_triangle2(x: Vec2, tri) -> bool:
 
 def segment_meets_triangle_beyond(p: Vec3, q: Vec3, tri: tuple[Vec3, Vec3, Vec3],
                                   allowed: Sequence[Vec3]) -> bool:
-    """True if segment pq touches the closed triangle anywhere outside ``allowed``."""
+    """True if segment pq touches the closed triangle anywhere outside ``allowed``.
+
+    The points may be Fractions or ints at any common scale.
+    """
     a, b, c = tri
     d1 = orient3(a, b, c, p)
     d2 = orient3(a, b, c, q)
@@ -567,17 +621,13 @@ def triangle_obstruction(link: PolygonalLink, gl: int, gm: int,
     intersection is exactly that segment.  Returns None when the triangle is
     clear, else the offending edge.
     """
-    ql, qm = link.vertex(gl), link.vertex(gm)
-    tri = (ql, apex, qm)
+    pts, _ = _integral(link.all_vertices() + [apex])
+    tri = (pts[gl - 1], pts[-1], pts[gm - 1])
     for (a, b) in link.edges():
         if {a, b} == {gl, gm}:
             continue
-        allowed = []
-        if a in (gl, gm):
-            allowed.append(link.vertex(a))
-        if b in (gl, gm):
-            allowed.append(link.vertex(b))
-        if segment_meets_triangle_beyond(link.vertex(a), link.vertex(b), tri, allowed):
+        allowed = [pts[g - 1] for g in (a, b) if g in (gl, gm)]
+        if segment_meets_triangle_beyond(pts[a - 1], pts[b - 1], tri, allowed):
             return (a, b)
     return None
 
@@ -728,9 +778,9 @@ def _insert_refinement_vertex(link, direction, proj, target, old_badness):
                 new_link = deform_add_vertex(link, ci, pos, cand)
             except DeformationError:
                 continue
-            if regularity_witness(new_link, direction) is not None:
+            witness, new_proj = _project(new_link, direction)
+            if witness is not None:
                 continue
-            new_proj = _project_unchecked(new_link, direction)
             if len(new_proj.crossings) != k_before:
                 continue
             if _badness(new_proj) >= old_badness:

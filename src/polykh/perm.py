@@ -120,7 +120,11 @@ def compose(a: Permutation, *rest: Permutation) -> Permutation:
     for b in rest:
         if out.n != b.n:
             raise PermError(f"size mismatch: {out.n} vs {b.n}")
-        out = Permutation(tuple(out.images[y - 1] for y in b.images))
+        # a list, not a generator: tuple() of a generator allocates a
+        # 10-slot tuple and resizes it, the resized tuples collect in
+        # CPython's tuple free lists, and peak RSS grew with each repetition
+        # of the same work
+        out = Permutation([out.images[y - 1] for y in b.images])
     return out
 
 

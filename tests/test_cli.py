@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import polykh.cli
 import polykh.khovanov
 from polykh.cli import main, parse_diagram, dump_diagram
-from polykh import fixture_path, load_fixture, build_good_diagram, parse_link
+from polykh import (fixture_path, load_fixture, build_good_diagram, parse_link,
+                    LinkFileError, PolygonalLink)
 
 from conftest import DIR_Z
 
@@ -84,6 +86,24 @@ class TestDiagram:
         assert parsed == original
         assert parse_diagram(dump_diagram(parsed)) == parsed
 
+    @pytest.mark.parametrize("mutate, message", [
+        # one mutation of the trefoil's dump per consistency rule
+        (lambda lines: [x for x in lines if x != "vertex 0 -1"],
+         "line 2: boundaries"),
+        (lambda lines: [x.replace("crossing 2 6 7 2 3", "crossing 2 6 7 2 30")
+                        for x in lines], "line 13: crossing 2: vertex index"),
+        (lambda lines: [x.replace("crossing 1 3 4", "crossing 1 3 5")
+                        for x in lines], "line 12: crossing 1: .* successor"),
+        (lambda lines: [x.replace("crossing 3 9 1 5 6 +1", "crossing 3 9 1 5 6 -1")
+                        for x in lines], "line 14: crossing 3: sign -1"),
+    ])
+    def test_inconsistent_diagram_rejected(self, mutate, message):
+        text = dump_diagram(build_good_diagram(load_fixture("trefoil9"), DIR_Z))
+        lines = text.splitlines()
+        assert parse_diagram(text) is not None
+        with pytest.raises(LinkFileError, match=message):
+            parse_diagram("\n".join(mutate(lines)) + "\n")
+
     def test_bad_direction(self, capsys):
         code, _, err = run(capsys, "diagram", TREFOIL, "--dir", "0,0")
         assert code == 2 and "direction" in err
@@ -153,6 +173,25 @@ class TestVerify:
                            "--trials", "2")
         assert code == 1
         assert "FAIL euler-identity" in out
+
+
+    def test_removal_not_restoring_link_flagged(self, capsys, monkeypatch):
+        # negative control: a removal that returns another link, here the
+        # same curve run backwards, whose homology table is the same, must
+        # fail the round trip
+        real = polykh.cli.deform_remove_vertex
+
+        def mutant(link, gp):
+            back = real(link, gp)
+            comps = (tuple(reversed(back.components[0])),) + back.components[1:]
+            return PolygonalLink(comps)
+
+        monkeypatch.setattr(polykh.cli, "deform_remove_vertex", mutant)
+        code, out, _ = run(capsys, "verify", TREFOIL, "--dir", "0,0,1",
+                           "--trials", "2", "--seed", "3")
+        assert code == 1
+        assert "FAIL move-invariance: removal at" in out
+        assert "did not restore the link" in out
 
 
 class TestSvg:

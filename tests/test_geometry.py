@@ -14,7 +14,8 @@ from polykh.geometry import (GeometryError, DeformationError,
                              is_regular_direction, find_regular_direction,
                              refine_to_good, is_good_projection, project_link,
                              triangle_obstruction, deform_add_vertex,
-                             deform_remove_vertex, dot3, cross3, sub3)
+                             deform_remove_vertex, dot3, cross3, sub3,
+                             point_on_seg2)
 from polykh import load_fixture, build_good_diagram
 
 from conftest import DIR_Z, random_link
@@ -22,6 +23,152 @@ from conftest import DIR_Z, random_link
 frac = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 pt2 = st.tuples(frac, frac)
 pt3 = st.tuples(frac, frac, frac)
+
+
+# ---------------------------------------------------------------------------
+# plain-Fraction reference for the integer kernel: segment intersection,
+# regularity and projection decided directly on the rational coordinates
+
+
+def ref_seg2(p, p2, q, q2):
+    r, s = (p2[0] - p[0], p2[1] - p[1]), (q2[0] - q[0], q2[1] - q[1])
+    qp = (q[0] - p[0], q[1] - p[1])
+    cross = lambda a, b: a[0] * b[1] - a[1] * b[0]
+    denom = cross(r, s)
+    if denom != 0:
+        t, u = F(cross(qp, s), denom), F(cross(qp, r), denom)
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return ("point", (t, u, (p[0] + t * r[0], p[1] + t * r[1])))
+        return None
+    if cross(qp, r) != 0:
+        return None
+    rr = r[0] * r[0] + r[1] * r[1]
+    if rr == 0:
+        raise GeometryError("degenerate segment")
+    t0 = F(qp[0] * r[0] + qp[1] * r[1], rr)
+    t1 = t0 + F(s[0] * r[0] + s[1] * r[1], rr)
+    lo, hi = max(min(t0, t1), F(0)), min(max(t0, t1), F(1))
+    if lo > hi:
+        return None
+    if lo == hi:
+        return ("point", (lo, F(0), (p[0] + lo * r[0], p[1] + lo * r[1])))
+    return ("overlap", (lo, hi))
+
+
+def ref_seg3(a, b, c, d):
+    u, w = sub3(b, a), sub3(d, c)
+    if orient3(a, b, c, d) != 0:
+        return None
+    at = lambda t: tuple(a[i] + t * u[i] for i in range(3))
+    nrm = cross3(u, w)
+    if nrm == (0, 0, 0):
+        if cross3(sub3(c, a), u) != (0, 0, 0):
+            return None
+        uu = dot3(u, u)
+        t0, t1 = sorted((F(dot3(sub3(c, a), u), uu), F(dot3(sub3(d, a), u), uu)))
+        lo, hi = max(t0, F(0)), min(t1, F(1))
+        if lo > hi:
+            return None
+        return ("point", at(lo)) if lo == hi else ("overlap", (at(lo), at(hi)))
+    k = max(range(3), key=lambda i: abs(nrm[i]))
+    x, y = [i for i in range(3) if i != k]
+    hit = ref_seg2((a[x], a[y]), (b[x], b[y]), (c[x], c[y]), (d[x], d[y]))
+    if hit is None:
+        return None
+    if hit[0] == "point":
+        return ("point", at(hit[1][0]))
+    return ("overlap", (at(hit[1][0]), at(hit[1][1])))
+
+
+def ref_project(link, direction):
+    """(witness, crossings as (over, under, point, t_over, t_under))."""
+    u, v = chart_basis(direction)
+    pts3 = link.all_vertices()
+    pts2 = [(dot3(u, p), dot3(v, p)) for p in pts3]
+    images = {}
+    for gi, q in enumerate(pts2, start=1):
+        if q in images:
+            return ("vertex_collision", (images[q], gi)), None
+        images[q] = gi
+    edges = link.edges()
+    for gi in range(1, link.n + 1):
+        for (a, b) in edges:
+            if gi not in (a, b) and point_on_seg2(pts2[gi - 1], pts2[a - 1],
+                                                  pts2[b - 1]):
+                return ("vertex_on_edge", (gi, (a, b))), None
+    depth = lambda e, t: dot3(direction, tuple(
+        pts3[e[0] - 1][i] + t * (pts3[e[1] - 1][i] - pts3[e[0] - 1][i])
+        for i in range(3)))
+    crossings, seen = [], {}
+    for idx1, e1 in enumerate(edges):
+        for e2 in edges[idx1 + 1:]:
+            hit = ref_seg2(pts2[e1[0] - 1], pts2[e1[1] - 1],
+                           pts2[e2[0] - 1], pts2[e2[1] - 1])
+            if hit is None:
+                continue
+            if hit[0] == "overlap":
+                return ("segment_overlap", (e1, e2)), None
+            t, s, pt = hit[1]
+            shared = set(e1) & set(e2)
+            if shared:
+                if pt != pts2[shared.pop() - 1]:
+                    return ("adjacent_crossing", (e1, e2)), None
+                continue
+            if pt in seen:
+                return ("triple_point", (seen[pt], (e1, e2))), None
+            seen[pt] = (e1, e2)
+            if depth(e1, t) > depth(e2, s):
+                crossings.append((e1, e2, pt, t, s))
+            else:
+                crossings.append((e2, e1, pt, s, t))
+    return None, crossings
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def segment_pairs(draw, dim):
+    """Two segments, often collinear, overlapping or sharing an endpoint."""
+    pt = st.tuples(*[frac] * dim)
+    a, b = draw(pt), draw(pt)
+    mode = draw(st.sampled_from(("free", "shared", "collinear")))
+    if mode == "collinear":
+        lam = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+        l1, l2 = draw(lam), draw(lam)
+        c = tuple(a[i] + l1 * (b[i] - a[i]) for i in range(dim))
+        d = tuple(a[i] + l2 * (b[i] - a[i]) for i in range(dim))
+    else:
+        c, d = draw(pt), draw(pt)
+        if mode == "shared":
+            c = draw(st.sampled_from((a, b)))
+            c, d = draw(st.permutations((c, d)))
+    return a, b, c, d
+
+
+# a small grid makes collinear images, vertices on edges and vertex
+# collisions common; two-vertex components make overlapping images
+grid = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+polygons = st.lists(st.tuples(grid, grid, grid), min_size=2, max_size=5)
+
+
+def through_origin(comp):
+    """Each vertex followed by its negative: every other edge passes through
+    the origin, so three or more of them make a triple point."""
+    return [q for p in comp for q in (p, tuple(-x for x in p))]
+
+
+small_links = st.one_of(
+    st.lists(polygons, min_size=1, max_size=2),
+    st.lists(polygons.map(through_origin), min_size=1, max_size=1),
+).map(PolygonalLink.from_lists)
+directions = st.tuples(
+    *[st.fractions(min_value=-3, max_value=3, max_denominator=5)] * 3).filter(
+        lambda d: any(d) and any(x.denominator > 1 for x in d))
 
 
 class TestPredicates:
@@ -91,6 +238,37 @@ class TestSegmentIntersection2D:
             assert h2[0] == "point" and h1[1][2] == h2[1][2]
 
 
+class TestIntegerKernel:
+    """The int kernel against the plain-Fraction reference above."""
+
+    @given(segment_pairs(2))
+    @settings(max_examples=150)
+    def test_seg2_matches_reference(self, segs):
+        assert outcome(seg2_intersection, *segs) == outcome(ref_seg2, *segs)
+
+    @given(segment_pairs(3))
+    @settings(max_examples=150)
+    def test_seg3_matches_reference(self, segs):
+        a, b, _c, _d = segs
+        if a == b:
+            return
+        assert seg3_intersection(*segs) == ref_seg3(*segs)
+
+    @given(small_links, directions)
+    @settings(max_examples=120)
+    def test_projection_matches_reference(self, link, direction):
+        witness, crossings = ref_project(link, direction)
+        assert regularity_witness(link, direction) == witness
+        if witness is None:
+            proj = project_link(link, direction)
+            assert [(c.over_edge, c.under_edge, c.point, c.t_over, c.t_under)
+                    for c in proj.crossings] == crossings
+            u, v = chart_basis(direction)
+            assert proj.chart == (u, v)
+            assert proj.points2d == tuple((dot3(u, p), dot3(v, p))
+                                          for p in link.all_vertices())
+
+
 class TestSegmentIntersection3D:
     def test_crossing_in_space(self):
         hit = seg3_intersection((F(0), F(0), F(0)), (F(2), F(2), F(2)),
@@ -101,6 +279,26 @@ class TestSegmentIntersection3D:
     def test_skew_lines_miss(self):
         assert seg3_intersection((F(0), F(0), F(0)), (F(1), F(0), F(0)),
                                  (F(0), F(0), F(1)), (F(0), F(1), F(1))) is None
+
+
+class TestLinkLookups:
+    @pytest.mark.parametrize("name", ["two_squares", "whitehead12"])
+    def test_lookups_match_component_walk(self, name):
+        link = load_fixture(name)
+        gi = 0
+        for ci, comp in enumerate(link.components):
+            lo = gi + 1
+            for pos, point in enumerate(comp):
+                gi += 1
+                assert link.component_of(gi) == ci
+                assert link.vertex(gi) == point
+                assert link.successor(gi) == lo + (pos + 1) % len(comp)
+                assert link.predecessor(gi) == lo + (pos - 1) % len(comp)
+            assert link.component_range(ci) == (lo, gi)
+        assert link.boundaries[-1] == link.n == gi
+        for bad in (0, -1, link.n + 1):
+            with pytest.raises(IndexError):
+                link.vertex(bad)
 
 
 class TestValidation:
