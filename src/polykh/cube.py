@@ -41,8 +41,6 @@ class SmoothingState:
     diagram: GoodDiagram
     word: tuple[int, ...]
     successor: Permutation
-    joined: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
-    # joined: per resolved crossing l, the two unordered index pairs connected
 
     @property
     def resolved(self) -> bool:
@@ -105,7 +103,8 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
     choice selects; the circle through i_l is re-walked starting with the new
     edge out of i_l, then (if separate) the circle through v_l starting at
     v_l, and any remaining re-wired circle keeps the direction of its
-    surviving directed edges.
+    surviving directed edges.  Only the circles of sigma through i_l and v_l
+    are re-wired; every other vertex keeps its image under sigma.
     """
     if not 1 <= l <= state.diagram.k:
         raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
@@ -114,26 +113,30 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
         raise CubeError(f"crossing {l} already resolved")
     i, j, v, w = crossing.quadruple
     sigma = state.successor
-    n = sigma.n
+    img = sigma.images
     removed = {_locate_arc(sigma, i, j), _locate_arc(sigma, v, w)}
-    arcs = _crossing_arcs(crossing, choice)
+    touched = sigma.cycle_containing(i)
+    if v not in touched:
+        touched += sigma.cycle_containing(v)
 
-    # 2-regular multigraph: surviving directed edges plus the two new arcs
+    # 2-regular multigraph on the touched vertices: surviving directed edges
+    # plus the two new arcs
     edges = []  # (a, b, directed)
-    for x in range(1, n + 1):
-        if (x, sigma(x)) not in removed:
-            edges.append((x, sigma(x), True))
+    for x in touched:
+        if (x, img[x - 1]) not in removed:
+            edges.append((x, img[x - 1], True))
+    arcs = _crossing_arcs(crossing, choice)
     new_ids = []
     for (a, b) in arcs:
         new_ids.append(len(edges))
         edges.append((a, b, False))
-    ends: dict[int, list[int]] = {x: [] for x in range(1, n + 1)}
+    ends: dict[int, list[int]] = {x: [] for x in touched}
     for eid, (a, b, _) in enumerate(edges):
         ends[a].append(eid)
         ends[b].append(eid)
     assert all(len(e) == 2 for e in ends.values())
 
-    succ = [0] * n
+    succ = list(img)
     seen = set()
 
     def walk(start: int, eid: int) -> None:
@@ -143,8 +146,8 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
             nxt = b if cur == a else a
             succ[cur - 1] = nxt
             seen.add(cur)
-            others = [x for x in ends[nxt] if x != e]
-            e = others[0]
+            e1, e2 = ends[nxt]
+            e = e2 if e1 == e else e1
             cur = nxt
             if cur == start:
                 break
@@ -155,9 +158,10 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
     if v not in seen:
         v_arc = next(eid for eid in new_ids if v in edges[eid][:2])
         walk(v, v_arc)
-    # any further re-wired circle keeps its surviving directions; untouched
-    # circles keep sigma as-is
-    for x in range(1, n + 1):
+    # a further re-wired circle keeps its surviving directions; it holds
+    # neither i nor v, so it arises only when sigma runs i->j ... w->v and
+    # the pairing is (i,v),(j,w): the j-w circle
+    for x in touched:
         if x in seen:
             continue
         eid = next((e for e in ends[x] if edges[e][2] and edges[e][0] == x), None)
@@ -166,37 +170,35 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
             # vertex of its circle that has one
             continue
         walk(x, eid)
-    if len(seen) != n:
+    if len(seen) != len(touched):
         raise CubeError("orientation trace left a circle without direction")
 
-    word = list(state.word)
-    word[l - 1] = choice
-    return SmoothingState(state.diagram, tuple(word), Permutation(succ),
-                          state.joined + ((l, arcs),))
+    word = state.word[:l - 1] + (choice,) + state.word[l:]
+    return SmoothingState(state.diagram, word, Permutation(succ))
 
 
 def _reverse_cycles_touching(perm: Permutation, members) -> Permutation:
     """Reverse every cycle of ``perm`` that contains a member of ``members``."""
     img = list(perm.images)
-    for cyc in perm.cycles():
-        if set(cyc) & set(members):
-            for t in range(len(cyc)):
-                img[cyc[(t + 1) % len(cyc)] - 1] = cyc[t]
+    done = set()
+    for x in members:
+        if x in done:
+            continue
+        cyc = perm.cycle_containing(x)
+        done.update(cyc)
+        for y in cyc:
+            img[perm.images[y - 1] - 1] = y
     return Permutation(img)
 
 
-def smooth_crossing_theorem(state: SmoothingState, l: int, choice: int,
-                            power_reading: bool = False) -> SmoothingState:
+def smooth_crossing_theorem(state: SmoothingState, l: int,
+                            choice: int) -> SmoothingState:
     """Resolve crossing l via the closed permutation formulas.
 
     Dispatch is on the current direction of the two crossing arcs (sigma maps
     i->j or j->i, and v->w or w->v) and on whether i and v share a cycle.
     One of the two choices is a single transposition composition; the other
     additionally conjugates by a dihedral reflection.
-
-    ``power_reading`` switches the contested distinct-cycle branch of the
-    reversed-reversed case to use sigma^(epsilon) instead of sigma itself;
-    see cor2_2c_readings for the diagnostic that compares both.
     """
     if not 1 <= l <= state.diagram.k:
         raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
@@ -210,7 +212,7 @@ def smooth_crossing_theorem(state: SmoothingState, l: int, choice: int,
     sigma = state.successor
     n = sigma.n
     T = lambda a, b: Permutation.transposition(n, a, b)
-    same = set(sigma.cycle_containing(i)) >= {v}
+    same = v in sigma.cycle_containing(i)
 
     if sigma(i) == j and sigma(v) == w:
         if (choice == 0) == (eps == 1):
@@ -242,17 +244,14 @@ def smooth_crossing_theorem(state: SmoothingState, l: int, choice: int,
         elif same:
             res = conjugate(sigma, reflection_in(compose(sigma, T(j, w)), j, v))
         else:
-            base = sigma.inverse() if (power_reading and eps == -1) else sigma
-            res = conjugate(compose(base, T(j, w)), reflection_in(sigma, v, w))
+            res = conjugate(compose(sigma, T(j, w)), reflection_in(sigma, v, w))
         res = _reverse_cycles_touching(res, (i, v))
     else:
         raise CubeError(
             f"crossing {l}: neither arc of ({i},{j},{v},{w}) present in sigma")
 
-    word = list(state.word)
-    word[l - 1] = choice
-    return SmoothingState(state.diagram, tuple(word), res,
-                          state.joined + ((l, _crossing_arcs(crossing, choice)),))
+    word = state.word[:l - 1] + (choice,) + state.word[l:]
+    return SmoothingState(state.diagram, word, res)
 
 
 def resolve(state: SmoothingState, l: int, choice: int) -> SmoothingState:
@@ -350,31 +349,22 @@ def assemble_edges(vertices: dict[tuple[int, ...], CubeVertex]) -> tuple[CubeEdg
     """All cube edges between adjacent full smoothings, with signs and kinds."""
     edges = []
     k = len(next(iter(vertices))) if vertices else 0
+    circles = {word: vx.c for word, vx in vertices.items()}
     for pos in range(k):
-        for word in vertices:
+        for word, c_tail in circles.items():
             if word[pos] != 0:
                 continue
             head = word[:pos] + (1,) + word[pos + 1:]
-            c_tail = vertices[word].c
-            c_head = vertices[head].c
+            c_head = circles[head]
             if abs(c_tail - c_head) != 1:
                 raise CubeError(
                     f"edge {word}->{head}: circle count changed by "
                     f"{c_head - c_tail}")
             star = word[:pos] + ("*",) + word[pos + 1:]
-            sign = -1 if sum(1 for x in word[:pos] if x == 1) % 2 else 1
+            sign = -1 if word[:pos].count(1) % 2 else 1
             kind = "merge" if c_head == c_tail - 1 else "split"
             edges.append(CubeEdge(star, word, head, kind, sign))
     return tuple(edges)
-
-
-def state_for(diagram: GoodDiagram,
-              assignments: Sequence[tuple[int, int]]) -> SmoothingState:
-    """Partial state after resolving (crossing, choice) pairs in order."""
-    state = initial_state(diagram)
-    for l, choice in assignments:
-        state = resolve(state, l, choice)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -434,31 +424,3 @@ def cor1_check(state: SmoothingState, l: int) -> dict[str, bool]:
             lhs = compose(conjugate(p_rev, reflection_in(m_rev, j, b)), T(j, a))
             report["same, j->i, case 2"] = (m_rev == lhs)
     return report
-
-
-def cor2_2c_readings(state: SmoothingState, l: int):
-    """Diagnostic for the contested branch (sigma(j)=i, sigma(w)=v, distinct
-    cycles): evaluate both published readings against the trace oracle.
-
-    Returns None when the branch does not apply; else a dict with the truth
-    of the plain reading (sigma as written) and of the power reading
-    (sigma^(epsilon_l), i.e. the inverse when epsilon_l = -1).
-    """
-    crossing = state.diagram.crossings[l - 1]
-    i, j, v, w = crossing.quadruple
-    eps = crossing.sign
-    sigma = state.successor
-    if not (sigma(j) == i and sigma(w) == v):
-        return None
-    if v in sigma.cycle_containing(i):
-        return None
-    choice = 1 if eps == 1 else 0   # the branch computes sigma_{v^(-eps)}
-    oracle = smooth_crossing_trace(state, l, choice).successor
-    n = sigma.n
-    T = Permutation.transposition(n, j, w)
-    xi = reflection_in(sigma, v, w)
-    plain = _reverse_cycles_touching(conjugate(compose(sigma, T), xi), (i, v))
-    powered = _reverse_cycles_touching(
-        conjugate(compose(sigma.inverse() if eps == -1 else sigma, T), xi), (i, v))
-    return {"plain": plain == oracle, "power": powered == oracle,
-            "epsilon": eps}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .geometry import (PolygonalLink, Projection, Vec2, Vec3, GeometryError,
@@ -64,17 +65,39 @@ class GoodDiagram:
     def vertex(self, gi: int) -> Vec2:
         return self.vertices[gi - 1]
 
-    def successor(self, gi: int) -> int:
-        lo = 0
+    @cached_property
+    def _successors(self) -> tuple[int, ...]:
+        """The component-successor of global vertex gi, at index gi - 1."""
+        out, lo = [], 0
         for hi in self.boundaries:
-            if lo < gi <= hi:
-                return lo + 1 if gi == hi else gi + 1
+            out.extend(range(lo + 2, hi + 1))
+            out.append(lo + 1)
             lo = hi
-        raise IndexError(gi)
+        return tuple(out)
+
+    @cached_property
+    def _predecessors(self) -> tuple[int, ...]:
+        """The component-predecessor of global vertex gi, at index gi - 1."""
+        out, lo = [], 0
+        for hi in self.boundaries:
+            out.append(hi)
+            out.extend(range(lo + 1, hi))
+            lo = hi
+        return tuple(out)
+
+    def successor(self, gi: int) -> int:
+        if not 0 < gi <= len(self._successors):
+            raise IndexError(gi)
+        return self._successors[gi - 1]
+
+    def predecessor(self, gi: int) -> int:
+        if not 0 < gi <= len(self._predecessors):
+            raise IndexError(gi)
+        return self._predecessors[gi - 1]
 
     def component_permutation(self) -> Permutation:
         """sigma = sigma_1 ... sigma_r, the component-successor permutation."""
-        return Permutation(tuple(self.successor(gi) for gi in range(1, self.n + 1)))
+        return Permutation(self._successors)
 
     def index_sets(self) -> tuple[frozenset, frozenset, frozenset]:
         """(I, V, K): overcrossing starts, undercrossing starts, the rest."""

@@ -27,6 +27,7 @@ rationals, without a single Fraction.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,14 +177,13 @@ class LaurentPoly:
 def jones_state_sum(cube: Cube) -> LaurentPoly:
     """Unnormalized Jones polynomial from the full smoothings."""
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
+    # vertices with the same (r, c) contribute the same term
+    counts = Counter((sum(word), vx.c) for word, vx in cube.vertices.items())
     total = LaurentPoly.zero()
     circ = LaurentPoly.circle()
-    for word, vx in cube.vertices.items():
-        r = sum(word)
-        term = (circ ** vx.c).shifted(r + kp - 2 * km)
-        if (r + km) % 2:
-            term = -term
-        total = total + term
+    for (r, c), mult in counts.items():
+        sign = -1 if (r + km) % 2 else 1
+        total = total + (circ ** c).shifted(r + kp - 2 * km) * (sign * mult)
     return total
 
 

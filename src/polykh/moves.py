@@ -66,24 +66,6 @@ class TriangleMove:
 # classification
 
 
-def _predecessor(diagram: GoodDiagram, gi: int) -> int:
-    lo = 0
-    for hi in diagram.boundaries:
-        if lo < gi <= hi:
-            return hi if gi == lo + 1 else gi - 1
-        lo = hi
-    raise IndexError(gi)
-
-
-def _component_size(diagram: GoodDiagram, gi: int) -> int:
-    lo = 0
-    for hi in diagram.boundaries:
-        if lo < gi <= hi:
-            return hi - lo
-        lo = hi
-    raise IndexError(gi)
-
-
 def _crossing_on(diagram: GoodDiagram, a: int, b: int) -> Optional[CrossingRecord]:
     """The crossing carried by the directed edge a->b, if any."""
     for cr in diagram.crossings:
@@ -158,22 +140,38 @@ def classify_triangle_move(diagram: GoodDiagram, p: int,
     When the source ``link`` is supplied, the spanned triangle is also checked
     for three-dimensional obstructions.
     """
+    return _classify_removal(diagram, p, link)[0]
+
+
+def _classify_removal(diagram: GoodDiagram, p: int,
+                      link: Optional[PolygonalLink]
+                      ) -> tuple[TriangleMove, Optional[PolygonalLink]]:
+    """``classify_triangle_move``, also returning the link with vertex p
+    removed (None without a ``link``), which its 3D check computes."""
     if not 1 <= p <= diagram.n:
         raise MoveError(f"no vertex {p}")
-    if _component_size(diagram, p) <= 3:
-        raise MoveError("cannot shrink a component below 3 vertices")
-    l = _predecessor(diagram, p)
+    l = diagram.predecessor(p)
     m = diagram.successor(p)
+    if l in (p, m) or diagram.successor(m) == l:
+        # the component has at most 3 vertices
+        raise MoveError("cannot shrink a component below 3 vertices")
     ql, qp, qm = diagram.vertex(l), diagram.vertex(p), diagram.vertex(m)
     if orient2(ql, qp, qm) == 0:
         raise MoveError(f"triangle ({l},{p},{m}) is degenerate")
 
+    link2 = None
     if link is not None:
         try:
-            deform_remove_vertex(link, p)
+            link2 = deform_remove_vertex(link, p)
         except DeformationError as exc:
             raise MoveError(f"triangle obstructed in 3D: {exc}") from exc
+    return _triangle_case(diagram, l, p, m), link2
 
+
+def _triangle_case(diagram: GoodDiagram, l: int, p: int,
+                   m: int) -> TriangleMove:
+    """The case of the planar triangle (l, p, m), from the diagram alone."""
+    ql, qp, qm = diagram.vertex(l), diagram.vertex(p), diagram.vertex(m)
     tri = (ql, qp, qm)
     inside: list[int] = []
     for g in range(1, diagram.n + 1):
@@ -430,14 +428,6 @@ def _bigon_letter(cr: CrossingRecord, p: int, other: int) -> int:
                     f"at ({p},{other})")
 
 
-def _transformed_state(diagram2: GoodDiagram, word: tuple[int, ...],
-                       perm: Permutation) -> SmoothingState:
-    joined = tuple(
-        (li, _crossing_arcs(diagram2.crossings[li - 1], ch))
-        for li, ch in enumerate(word, start=1))
-    return SmoothingState(diagram2, word, perm, joined)
-
-
 def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
     """Deform a cube of permutations by closed substitutions.
 
@@ -462,7 +452,7 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
             s = _oriented_for(vx.state.successor, l, p)
             perm = _renumber_perm(
                 compose(s, Permutation.transposition(s.n, l, p)), p)
-            state = _transformed_state(diagram2, word, perm)
+            state = SmoothingState(diagram2, word, perm)
             vertices[word] = CubeVertex(word, state, tuple(vertex_group(state)))
         return Cube(diagram2, cube.order, vertices, assemble_edges(vertices)), \
             provenance
@@ -496,7 +486,7 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
             perm = _renumber_perm(
                 compose(s, Permutation.transposition(s.n, intact, p)), p)
             word2 = word[:lc - 1] + word[lc:]
-            state = _transformed_state(diagram2, word2, perm)
+            state = SmoothingState(diagram2, word2, perm)
             vertices[word2] = CubeVertex(word2, state,
                                          tuple(vertex_group(state)))
         order2 = tuple(x - 1 if x > lc else x for x in cube.order if x != lc)
@@ -545,12 +535,11 @@ def apply_move(link: PolygonalLink, direction, p: int):
     count is checked against the classified case.
     """
     diagram = build_good_diagram(link, direction)
-    move = classify_triangle_move(diagram, p, link=link)
+    move, link2 = _classify_removal(diagram, p, link)
     if move.tag == "RIII":
         raise MoveError(
             "a Reidemeister III pattern cannot be realised by a single "
             "vertex removal; relabel and rebuild instead")
-    link2 = deform_remove_vertex(link, p)
     try:
         diagram2 = build_good_diagram(link2, direction)
     except DiagramError as exc:

@@ -73,27 +73,29 @@ class Permutation:
         return Permutation(inv)
 
     def cycle_containing(self, x: int) -> tuple[int, ...]:
+        img = self.images
         cyc = [x]
-        y = self(x)
+        y = img[x - 1]
         while y != x:
             cyc.append(y)
-            y = self(y)
+            y = img[y - 1]
         return tuple(cyc)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated min-first, sorted by minimum.
 
-        Fixed points are included as 1-cycles.
+        Fixed points are included as 1-cycles.  Each cycle is walked from
+        the least index not yet seen, which is its minimum.
         """
+        seen = [False] * (self.n + 1)
         out = []
-        seen = set()
         for x in range(1, self.n + 1):
-            if x in seen:
+            if seen[x]:
                 continue
             cyc = self.cycle_containing(x)
-            seen.update(cyc)
-            out.append(_min_first(cyc))
-        out.sort(key=lambda c: c[0])
+            for y in cyc:
+                seen[y] = True
+            out.append(cyc)
         return out
 
     def nontrivial_cycles(self) -> list[tuple[int, ...]]:
@@ -107,11 +109,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_str()}, n={self.n})"
-
-
-def _min_first(cyc: Sequence[int]) -> tuple[int, ...]:
-    i = cyc.index(min(cyc))
-    return tuple(cyc[i:]) + tuple(cyc[:i])
 
 
 def compose(a: Permutation, *rest: Permutation) -> Permutation:

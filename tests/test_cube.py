@@ -6,9 +6,11 @@ import random
 import pytest
 
 from polykh.perm import Permutation, parse_cycles
+from polykh import cube as cube_module
 from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
                          smooth_crossing_trace, smooth_crossing_theorem,
-                         vertex_group, build_cube, assemble_edges)
+                         vertex_group, build_cube, assemble_edges,
+                         _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
 
 from conftest import DIR_Z, random_diagram
@@ -20,6 +22,81 @@ def cycle_partition(perm):
         rev = (cyc[0],) + tuple(reversed(cyc[1:]))
         out.add(min(cyc, rev))
     return frozenset(out)
+
+
+def full_graph_trace(state, l, choice):
+    """Reference trace oracle: graph surgery over all n vertices, every
+    circle re-walked, untouched ones from their least vertex."""
+    crossing = state.diagram.crossings[l - 1]
+    i, j, v, w = crossing.quadruple
+    sigma = state.successor
+    n = sigma.n
+    removed = {_locate_arc(sigma, i, j), _locate_arc(sigma, v, w)}
+    edges = [(x, sigma(x), True) for x in range(1, n + 1)
+             if (x, sigma(x)) not in removed]
+    new_ids = []
+    for (a, b) in _crossing_arcs(crossing, choice):
+        new_ids.append(len(edges))
+        edges.append((a, b, False))
+    ends = {x: [] for x in range(1, n + 1)}
+    for eid, (a, b, _) in enumerate(edges):
+        ends[a].append(eid)
+        ends[b].append(eid)
+    assert all(len(e) == 2 for e in ends.values())
+    succ = [0] * n
+    seen = set()
+
+    def walk(start, eid):
+        cur, e = start, eid
+        while True:
+            a, b, _ = edges[e]
+            nxt = b if cur == a else a
+            succ[cur - 1] = nxt
+            seen.add(cur)
+            e = [x for x in ends[nxt] if x != e][0]
+            cur = nxt
+            if cur == start:
+                break
+
+    walk(i, next(eid for eid in new_ids if i in edges[eid][:2]))
+    if v not in seen:
+        walk(v, next(eid for eid in new_ids if v in edges[eid][:2]))
+    for x in range(1, n + 1):
+        if x in seen:
+            continue
+        eid = next((e for e in ends[x] if edges[e][2] and edges[e][0] == x),
+                   None)
+        if eid is not None:
+            walk(x, eid)
+    assert len(seen) == n
+    return Permutation(succ)
+
+
+def check_every_step(diagram, orders):
+    """Resolve along every order, comparing the formula, the trace and the
+    full-graph reference at each step; returns how many steps re-wired a
+    circle holding neither i nor v."""
+    further = 0
+    for order in orders:
+        stack = [initial_state(diagram)]
+        while stack:
+            state = stack.pop()
+            depth = sum(1 for x in state.word if x != 2)
+            if depth == diagram.k:
+                continue
+            l = order[depth]
+            i, j, v, w = diagram.crossings[l - 1].quadruple
+            for choice in (0, 1):
+                traced = smooth_crossing_trace(state, l, choice)
+                formula = smooth_crossing_theorem(state, l, choice)
+                reference = full_graph_trace(state, l, choice)
+                assert traced.successor == reference
+                assert formula.successor == reference
+                jw = traced.successor.cycle_containing(j)
+                if w in jw and i not in jw and v not in jw:
+                    further += 1
+                stack.append(formula)
+    return further
 
 
 class TestInitialState:
@@ -74,21 +151,25 @@ class TestTheoremVsTrace:
             yield build_good_diagram(load_fixture(name), DIR_Z)
 
     def test_every_step_matches_on_fixtures(self):
+        further = 0
         for diagram in self.fixture_diagrams():
-            k = diagram.k
-            orders = itertools.permutations(range(1, k + 1))
-            for order in orders:
-                state_stack = [initial_state(diagram)]
-                def descend(state, depth):
-                    if depth == k:
-                        return
-                    l = order[depth]
-                    for choice in (0, 1):
-                        traced = smooth_crossing_trace(state, l, choice)
-                        formula = smooth_crossing_theorem(state, l, choice)
-                        assert traced.successor == formula.successor
-                        descend(formula, depth + 1)
-                descend(state_stack[0], 0)
+            orders = itertools.permutations(range(1, diagram.k + 1))
+            further += check_every_step(diagram, orders)
+        # the re-walk of a circle through neither i nor v is exercised
+        assert further > 0
+
+    def test_every_step_matches_on_random_diagrams(self):
+        rng = random.Random(41)
+        further = 0
+        for _ in range(8):
+            diagram, _link, _dir = random_diagram(rng)
+            orders = [tuple(range(1, diagram.k + 1))]
+            for _ in range(3):
+                order = list(orders[0])
+                rng.shuffle(order)
+                orders.append(tuple(order))
+            further += check_every_step(diagram, orders)
+        assert further > 0
 
     def test_path_independence_up_to_orientation(self, whitehead_diagram):
         base = build_cube(whitehead_diagram)
@@ -117,6 +198,36 @@ class TestTheoremVsTrace:
         r = resolve(s, 1, 0)
         with pytest.raises(CubeError):
             resolve(r, 1, 1)  # already resolved
+
+    def test_mutant_formula_branch_raises_mismatch(self, whitehead_diagram,
+                                                  monkeypatch):
+        # reverse the circle through i in the result of the plain branch
+        # (sigma(i) = j, sigma(v) = w, transposition only); the first step
+        # the mutant changes must be reported by build_cube
+        original = smooth_crossing_theorem
+        mutated = []
+
+        def mutant(state, l, choice):
+            out = original(state, l, choice)
+            crossing = state.diagram.crossings[l - 1]
+            i, j, v, w = crossing.quadruple
+            sigma = state.successor
+            if (sigma(i) == j and sigma(v) == w
+                    and (choice == 0) == (crossing.sign == 1)):
+                res = cube_module._reverse_cycles_touching(out.successor, (i,))
+                if res != out.successor:
+                    mutated.append((state.word, l, choice))
+                    return cube_module.SmoothingState(
+                        out.diagram, out.word, res)
+            return out
+
+        monkeypatch.setattr(cube_module, "smooth_crossing_theorem", mutant)
+        with pytest.raises(CubeMismatchError) as info:
+            build_cube(whitehead_diagram)
+        assert mutated
+        word, crossing, choice = mutated[0]
+        assert (info.value.word, info.value.crossing,
+                info.value.choice) == (word, crossing, choice)
 
 
 class TestStateInvariants:

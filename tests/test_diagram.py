@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 import random
 
+import pytest
+
 from polykh.geometry import cross2, sub2, seg2_intersection, chart_basis, dot3
 from polykh.diagram import (GoodDiagram, CrossingRecord, crossing_sign,
                             build_good_diagram, good_diagram_auto)
@@ -100,6 +102,19 @@ class TestStructure:
                 t = num / den
                 return tuple(pa[i] + t * (pb[i] - pa[i]) for i in range(3))[2]
             assert depth(cr.i, cr.j) > depth(cr.v, cr.w)
+
+    def test_component_neighbours_match_link(self):
+        for name in ("trefoil9", "whitehead12", "two_squares", "kink5"):
+            link = load_fixture(name)
+            diagram = build_good_diagram(link, DIR_Z)
+            for gi in range(1, link.n + 1):
+                assert diagram.successor(gi) == link.successor(gi)
+                assert diagram.predecessor(gi) == link.predecessor(gi)
+            for gi in (0, link.n + 1):
+                with pytest.raises(IndexError):
+                    diagram.successor(gi)
+                with pytest.raises(IndexError):
+                    diagram.predecessor(gi)
 
     def test_random_diagrams_are_good(self):
         rng = random.Random(5)

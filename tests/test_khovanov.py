@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from itertools import product
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,25 @@ class TestJones:
         # one positive kink: the unnormalized polynomial is that of the unknot
         cube = build_cube(build_good_diagram(load_fixture("kink5"), DIR_Z))
         assert jones_state_sum(cube) == LaurentPoly({-1: 1, 1: 1})
+
+    @given(st.integers(0, 5).flatmap(lambda k: st.tuples(
+        st.integers(0, k), st.lists(st.integers(1, 6), min_size=2 ** k,
+                                    max_size=2 ** k))))
+    def test_grouped_sum_matches_per_vertex(self, data):
+        # the state sum grouped by (r, c) equals one term per vertex
+        k_plus, circles = data
+        k = len(circles).bit_length() - 1
+        vertices = {word: SimpleNamespace(c=c) for word, c in
+                    zip(product((0, 1), repeat=k), circles)}
+        cube = SimpleNamespace(diagram=SimpleNamespace(
+            k_plus=k_plus, k_minus=k - k_plus), vertices=vertices)
+        expected = LaurentPoly.zero()
+        for word, vx in vertices.items():
+            r = sum(word)
+            term = (LaurentPoly.circle() ** vx.c).shifted(
+                r + k_plus - 2 * (k - k_plus))
+            expected = expected + (-term if (r + k - k_plus) % 2 else term)
+        assert jones_state_sum(cube) == expected
 
 
 class TestComplex:

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from polykh.geometry import PolygonalLink, validate_link, deform_add_vertex
+from polykh import moves
+from polykh.geometry import (PolygonalLink, validate_link, deform_add_vertex,
+                            deform_remove_vertex)
 from polykh.diagram import build_good_diagram
 from polykh.cube import build_cube
 from polykh.khovanov import khovanov_homology
@@ -187,6 +189,19 @@ class TestAlgebraicUpdates:
             # cubes agree up to independent reversal of each circle
             assert (cycle_partition(vx.state.successor)
                     == cycle_partition(rebuilt.vertices[word].state.successor))
+
+    def test_apply_move_removes_vertex_once(self, c1_setup, monkeypatch):
+        link, bigger, _diagram = c1_setup
+        calls = []
+
+        def counting(lk, p):
+            calls.append(p)
+            return deform_remove_vertex(lk, p)
+
+        monkeypatch.setattr(moves, "deform_remove_vertex", counting)
+        _move, link2, _diagram2 = apply_move(bigger, DIR_Z, 2)
+        assert link2 == link
+        assert calls == [2]
 
     def test_crossing_free_round_trip(self, c1_setup):
         link, bigger, _diagram = c1_setup
