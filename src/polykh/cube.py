@@ -13,11 +13,10 @@ agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diagram import GoodDiagram, CrossingRecord
-from .perm import (Permutation, DihedralFactor, compose, conjugate,
-                   reflection_in)
+from .perm import Permutation, DihedralFactor
 
 
 class CubeError(ValueError):
@@ -97,14 +96,17 @@ def _locate_arc(sigma: Permutation, a: int, b: int) -> tuple[int, int]:
 
 def smooth_crossing_trace(state: SmoothingState, l: int,
                           choice: int) -> SmoothingState:
-    """Resolve crossing l by graph surgery and re-trace the affected circles.
+    """Resolve crossing l by cutting sigma's circles into strands and
+    re-joining them.
 
-    The crossing's two arcs are removed and replaced by the pairing that the
-    choice selects; the circle through i_l is re-walked starting with the new
-    edge out of i_l, then (if separate) the circle through v_l starting at
-    v_l, and any remaining re-wired circle keeps the direction of its
-    surviving directed edges.  Only the circles of sigma through i_l and v_l
-    are re-wired; every other vertex keeps its image under sigma.
+    Cutting the crossing's two arcs out of the circles of sigma through
+    i_l and v_l leaves two directed strands, each running from the head of
+    one cut arc to the tail of the other.  The choice's pairing joins their
+    ends; the circle through i_l is re-walked starting with the new edge out
+    of i_l, then (if separate) the circle through v_l starting at v_l, and a
+    strand walked from its tail is reversed.  A remaining re-joined strand
+    keeps the direction of sigma.  Every other vertex keeps its image under
+    sigma.
     """
     if not 1 <= l <= state.diagram.k:
         raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
@@ -113,82 +115,127 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
         raise CubeError(f"crossing {l} already resolved")
     i, j, v, w = crossing.quadruple
     sigma = state.successor
-    img = sigma.images
-    removed = {_locate_arc(sigma, i, j), _locate_arc(sigma, v, w)}
-    touched = sigma.cycle_containing(i)
-    if v not in touched:
-        touched += sigma.cycle_containing(v)
+    _, head1 = _locate_arc(sigma, i, j)
+    _, head2 = _locate_arc(sigma, v, w)
+    first = sigma.cycle_containing(head1)
+    if head2 in first:
+        cut = first.index(head2)
+        strands = (first[:cut], first[cut:])
+    else:
+        strands = (first, sigma.cycle_containing(head2))
+    # an end of a strand -> (the strand, whether it is walked forward
+    # when entered there)
+    ends = {}
+    for strand in strands:
+        ends[strand[0]] = (strand, True)
+        ends[strand[-1]] = (strand, False)
+    partner = {}
+    for a, b in _crossing_arcs(crossing, choice):
+        partner[a], partner[b] = b, a
 
-    # 2-regular multigraph on the touched vertices: surviving directed edges
-    # plus the two new arcs
-    edges = []  # (a, b, directed)
-    for x in touched:
-        if (x, img[x - 1]) not in removed:
-            edges.append((x, img[x - 1], True))
-    arcs = _crossing_arcs(crossing, choice)
-    new_ids = []
-    for (a, b) in arcs:
-        new_ids.append(len(edges))
-        edges.append((a, b, False))
-    ends: dict[int, list[int]] = {x: [] for x in touched}
-    for eid, (a, b, _) in enumerate(edges):
-        ends[a].append(eid)
-        ends[b].append(eid)
-    assert all(len(e) == 2 for e in ends.values())
-
-    succ = list(img)
-    seen = set()
-
-    def walk(start: int, eid: int) -> None:
-        cur, e = start, eid
+    succ = list(sigma.images)
+    for start in (i, v):
+        if start not in ends:
+            continue            # v lies on the circle walked from i
+        x = start
         while True:
-            a, b, _ = edges[e]
-            nxt = b if cur == a else a
-            succ[cur - 1] = nxt
-            seen.add(cur)
-            e1, e2 = ends[nxt]
-            e = e2 if e1 == e else e1
-            cur = nxt
-            if cur == start:
+            y = partner[x]
+            succ[x - 1] = y
+            strand, forward = ends.pop(y)
+            if not forward:
+                # entered at its tail: every link of the strand turns round
+                strand = strand[::-1]
+                for a, b in zip(strand, strand[1:]):
+                    succ[a - 1] = b
+            x = strand[-1]
+            del ends[x]
+            if x == start:
                 break
-
-    # i starts a new edge
-    i_arc = next(eid for eid in new_ids if i in edges[eid][:2])
-    walk(i, i_arc)
-    if v not in seen:
-        v_arc = next(eid for eid in new_ids if v in edges[eid][:2])
-        walk(v, v_arc)
-    # a further re-wired circle keeps its surviving directions; it holds
-    # neither i nor v, so it arises only when sigma runs i->j ... w->v and
-    # the pairing is (i,v),(j,w): the j-w circle
-    for x in touched:
-        if x in seen:
-            continue
-        eid = next((e for e in ends[x] if edges[e][2] and edges[e][0] == x), None)
-        if eid is None:
-            # no outgoing directed edge here; the walk reaches x from a
-            # vertex of its circle that has one
-            continue
-        walk(x, eid)
-    if len(seen) != len(touched):
-        raise CubeError("orientation trace left a circle without direction")
+    # a remaining strand keeps the direction of sigma; it holds neither i
+    # nor v, so it arises only when sigma runs i->j ... w->v and the pairing
+    # is (i,v),(j,w): the j-w circle
+    if ends:
+        strand, _ = next(iter(ends.values()))
+        head, tail = strand[0], strand[-1]
+        if len(ends) != 2 or partner[tail] != head:
+            raise CubeError("orientation trace left a circle without direction")
+        succ[tail - 1] = head
 
     word = state.word[:l - 1] + (choice,) + state.word[l:]
     return SmoothingState(state.diagram, word, Permutation(succ))
 
 
-def _reverse_cycles_touching(perm: Permutation, members) -> Permutation:
-    """Reverse every cycle of ``perm`` that contains a member of ``members``."""
-    img = list(perm.images)
+# ---------------------------------------------------------------------------
+# the permutation formulas on image lists
+#
+# A list p with p[0] = 0 and p[x] = sigma(x) stands for the permutation
+# sigma.  Each helper returns a new list, and its docstring names the
+# operation of the perm module it computes.
+
+
+def _cycle_of(p: list[int], x: int) -> list[int]:
+    """perm.cycle_containing(x)."""
+    cyc = [x]
+    y = p[x]
+    while y != x:
+        cyc.append(y)
+        y = p[y]
+    return cyc
+
+
+def _left_swap(p: list[int], a: int, b: int) -> list[int]:
+    """compose(T(a, b), p): the preimages of a and b swap their images."""
+    q = p[:]
+    q[p.index(a)], q[p.index(b)] = b, a
+    return q
+
+
+def _right_swap(p: list[int], a: int, b: int) -> list[int]:
+    """compose(p, T(a, b)): positions a and b swap their images."""
+    q = p[:]
+    q[a], q[b] = p[b], p[a]
+    return q
+
+
+def _reflection(p: list[int], a: int, b: int) -> list[int]:
+    """reflection_in(p, a, b): writing the cycle of p through a as
+    c_0 = a, c_1, ..., c_{d-1}, c_x goes to c_{(s - x) mod d} with
+    c_s = b; every other index is fixed."""
+    cyc = _cycle_of(p, a)
+    if b not in cyc:
+        raise CubeError(f"{a} and {b} lie in different cycles")
+    s, d = cyc.index(b), len(cyc)
+    g = list(range(len(p)))
+    for x, c in enumerate(cyc):
+        g[c] = cyc[(s - x) % d]
+    return g
+
+
+def _conjugate(a: list[int], g: list[int]) -> list[int]:
+    """conjugate(a, g) for an involution g: x -> g(a(g(x)))."""
+    return [g[a[g[x]]] for x in range(len(a))]
+
+
+def _reversed_cycles(p: list[int], members) -> list[int]:
+    """Reverse every cycle of p that contains a member of ``members``."""
+    q = p[:]
     done = set()
     for x in members:
         if x in done:
             continue
-        cyc = perm.cycle_containing(x)
-        done.update(cyc)
-        for y in cyc:
-            img[perm.images[y - 1] - 1] = y
-    return Permutation(img)
+        y = x
+        while True:
+            done.add(y)
+            q[p[y]] = y
+            y = p[y]
+            if y == x:
+                break
+    return q
+
+
+def _reverse_cycles_touching(perm: Permutation, members) -> Permutation:
+    """Reverse every cycle of ``perm`` that contains a member of ``members``."""
+    return Permutation(_reversed_cycles([0, *perm.images], members)[1:])
 
 
 def smooth_crossing_theorem(state: SmoothingState, l: int,
@@ -198,7 +245,9 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
     Dispatch is on the current direction of the two crossing arcs (sigma maps
     i->j or j->i, and v->w or w->v) and on whether i and v share a cycle.
     One of the two choices is a single transposition composition; the other
-    additionally conjugates by a dihedral reflection.
+    additionally conjugates by a dihedral reflection.  The formulas are
+    evaluated on image lists; the comment above each line gives it in the
+    algebra of the perm module, with T(a, b) the transposition of a and b.
     """
     if not 1 <= l <= state.diagram.k:
         raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
@@ -209,49 +258,59 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
         raise CubeError(f"choice must be 0 or 1, got {choice}")
     i, j, v, w = crossing.quadruple
     eps = crossing.sign
-    sigma = state.successor
-    n = sigma.n
-    T = lambda a, b: Permutation.transposition(n, a, b)
-    same = v in sigma.cycle_containing(i)
+    s = [0, *state.successor.images]          # s[x] = sigma(x)
+    same = v in _cycle_of(s, i)
 
-    if sigma(i) == j and sigma(v) == w:
+    if s[i] == j and s[v] == w:
         if (choice == 0) == (eps == 1):
-            res = compose(T(j, w), sigma)
+            # compose(T(j, w), sigma)
+            res = _left_swap(s, j, w)
         elif same:
-            res = conjugate(sigma, reflection_in(compose(T(j, w), sigma), j, v))
+            # conjugate(sigma, reflection_in(compose(T(j, w), sigma), j, v))
+            res = _conjugate(s, _reflection(_left_swap(s, j, w), j, v))
         else:
-            res = conjugate(compose(T(j, w), sigma), reflection_in(sigma, v, w))
-    elif sigma(i) == j and sigma(w) == v:
+            # conjugate(compose(T(j, w), sigma), reflection_in(sigma, v, w))
+            res = _conjugate(_left_swap(s, j, w), _reflection(s, v, w))
+    elif s[i] == j and s[w] == v:
         if (choice == 1) == (eps == 1):
-            res = compose(T(j, v), sigma)
+            # compose(T(j, v), sigma)
+            res = _left_swap(s, j, v)
         elif same:
-            res = conjugate(sigma, reflection_in(compose(T(j, v), sigma), j, w))
+            # conjugate(sigma, reflection_in(compose(T(j, v), sigma), j, w))
+            res = _conjugate(s, _reflection(_left_swap(s, j, v), j, w))
         else:
-            res = conjugate(compose(T(j, v), sigma), reflection_in(sigma, v, w))
-    elif sigma(j) == i and sigma(v) == w:
+            # conjugate(compose(T(j, v), sigma), reflection_in(sigma, v, w))
+            res = _conjugate(_left_swap(s, j, v), _reflection(s, v, w))
+    elif s[j] == i and s[v] == w:
         if (choice == 1) == (eps == 1):
-            res = compose(sigma, T(j, v))
+            # compose(sigma, T(j, v))
+            res = _right_swap(s, j, v)
         elif same:
-            res = conjugate(sigma, reflection_in(compose(sigma, T(j, v)), j, w))
+            # conjugate(sigma, reflection_in(compose(sigma, T(j, v)), j, w))
+            res = _conjugate(s, _reflection(_right_swap(s, j, v), j, w))
         else:
-            res = conjugate(compose(sigma, T(j, v)), reflection_in(sigma, v, w))
+            # conjugate(compose(sigma, T(j, v)), reflection_in(sigma, v, w))
+            res = _conjugate(_right_swap(s, j, v), _reflection(s, v, w))
         # the published identities fix the reversed orientation of the parent;
         # re-reverse the circles through i and v so that i starts a new edge
-        res = _reverse_cycles_touching(res, (i, v))
-    elif sigma(j) == i and sigma(w) == v:
+        res = _reversed_cycles(res, (i, v))
+    elif s[j] == i and s[w] == v:
         if (choice == 0) == (eps == 1):
-            res = compose(sigma, T(j, w))
+            # compose(sigma, T(j, w))
+            res = _right_swap(s, j, w)
         elif same:
-            res = conjugate(sigma, reflection_in(compose(sigma, T(j, w)), j, v))
+            # conjugate(sigma, reflection_in(compose(sigma, T(j, w)), j, v))
+            res = _conjugate(s, _reflection(_right_swap(s, j, w), j, v))
         else:
-            res = conjugate(compose(sigma, T(j, w)), reflection_in(sigma, v, w))
-        res = _reverse_cycles_touching(res, (i, v))
+            # conjugate(compose(sigma, T(j, w)), reflection_in(sigma, v, w))
+            res = _conjugate(_right_swap(s, j, w), _reflection(s, v, w))
+        res = _reversed_cycles(res, (i, v))
     else:
         raise CubeError(
             f"crossing {l}: neither arc of ({i},{j},{v},{w}) present in sigma")
 
     word = state.word[:l - 1] + (choice,) + state.word[l:]
-    return SmoothingState(state.diagram, word, res)
+    return SmoothingState(state.diagram, word, Permutation(res[1:]))
 
 
 def resolve(state: SmoothingState, l: int, choice: int) -> SmoothingState:
@@ -285,8 +344,7 @@ class CubeVertex:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class CubeEdge:
+class CubeEdge(NamedTuple):
     star_word: tuple          # over {0,1,'*'}, exactly one '*'
     tail: tuple[int, ...]     # star -> 0
     head: tuple[int, ...]     # star -> 1
@@ -354,73 +412,17 @@ def assemble_edges(vertices: dict[tuple[int, ...], CubeVertex]) -> tuple[CubeEdg
         for word, c_tail in circles.items():
             if word[pos] != 0:
                 continue
-            head = word[:pos] + (1,) + word[pos + 1:]
+            letters = list(word)
+            letters[pos] = 1
+            head = tuple(letters)
             c_head = circles[head]
             if abs(c_tail - c_head) != 1:
                 raise CubeError(
                     f"edge {word}->{head}: circle count changed by "
                     f"{c_head - c_tail}")
-            star = word[:pos] + ("*",) + word[pos + 1:]
+            letters[pos] = "*"
+            star = tuple(letters)
             sign = -1 if word[:pos].count(1) % 2 else 1
             kind = "merge" if c_head == c_tail - 1 else "split"
             edges.append(CubeEdge(star, word, head, kind, sign))
     return tuple(edges)
-
-
-# ---------------------------------------------------------------------------
-# cross-checks of the stated sibling relations
-
-
-def cor1_check(state: SmoothingState, l: int) -> dict[str, bool]:
-    """Verify the direct relations between the two resolutions of crossing l.
-
-    sigma_minus denotes the 1-resolution, sigma_plus the 0-resolution, both
-    obtained from the trace oracle; the returned report maps each applicable
-    relation to whether it holds as a permutation identity.
-    """
-    crossing = state.diagram.crossings[l - 1]
-    i, j, v, w = crossing.quadruple
-    eps = crossing.sign
-    sigma = state.successor
-    n = sigma.n
-    T = lambda a, b: Permutation.transposition(n, a, b)
-    plus = smooth_crossing_trace(state, l, 0).successor
-    minus = smooth_crossing_trace(state, l, 1).successor
-    report: dict[str, bool] = {}
-
-    same = v in state.successor.cycle_containing(i)
-    if not same:
-        # distinct cycles: minus = plus conjugated by the parent v-w reflection
-        xi = reflection_in(sigma, v, w)
-        report["distinct: minus = plus^xi(v,w)"] = (minus == conjugate(plus, xi))
-        return report
-
-    # same cycle: {a,b} with sigma(a) = b
-    if sigma(v) == w:
-        a, b = v, w
-    elif sigma(w) == v:
-        a, b = w, v
-    else:
-        raise CubeError(f"crossing {l}: undercrossing arc missing from sigma")
-
-    if sigma(i) == j:
-        first = (a == w and eps == 1) or (a == v and eps == -1)
-        if first:
-            lhs = compose(T(j, b), conjugate(plus, reflection_in(minus, j, a)))
-            report["same, i->j, case 1"] = (minus == lhs)
-        else:
-            lhs = conjugate(compose(T(j, b), plus), reflection_in(plus, j, a))
-            report["same, i->j, case 2"] = (minus == lhs)
-    if sigma(j) == i:
-        # the published identity is stated for the reversed parent
-        # orientation; translate our children into that convention
-        p_rev = _reverse_cycles_touching(plus, (i, v))
-        m_rev = _reverse_cycles_touching(minus, (i, v))
-        first = (a == v and eps == -1) or (a == w and eps == 1)
-        if first:
-            lhs = conjugate(compose(p_rev, T(j, a)), reflection_in(p_rev, j, b))
-            report["same, j->i, case 1"] = (m_rev == lhs)
-        else:
-            lhs = compose(conjugate(p_rev, reflection_in(m_rev, j, b)), T(j, a))
-            report["same, j->i, case 2"] = (m_rev == lhs)
-    return report

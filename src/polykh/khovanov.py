@@ -275,7 +275,7 @@ def build_complex(cube: Cube) -> KhovanovComplex:
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
     circle_sets: dict[tuple, list[frozenset]] = {}
     for word, vx in cube.vertices.items():
-        circle_sets[word] = [frozenset(cyc) for cyc in vx.state.successor.cycles()]
+        circle_sets[word] = [frozenset(g.cycle) for g in vx.groups]
 
     basis: dict[int, DegreeBasis] = {}
     j_grading: dict[int, list[int]] = {}

@@ -195,17 +195,6 @@ def reflection_xi(factor: DihedralFactor, a: int, b: int, n: int) -> Permutation
     return Permutation(img)
 
 
-def canonical_involution(factor: DihedralFactor, n: int) -> Permutation:
-    """The order-2 generator (c_1,c_d)(c_2,c_{d-1})... of the dihedral factor."""
-    cyc = factor.cycle
-    d = len(cyc)
-    img = list(range(1, n + 1))
-    for t in range(d // 2):
-        x, y = cyc[t], cyc[d - 1 - t]
-        img[x - 1], img[y - 1] = y, x
-    return Permutation(img)
-
-
 def reflection_in(perm: Permutation, a: int, b: int) -> Permutation:
     """Reflection exchanging a and b inside the cycle of ``perm`` containing both."""
     cyc = perm.cycle_containing(a)

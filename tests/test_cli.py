@@ -115,6 +115,19 @@ class TestCube:
         assert code == 0
         assert out == (GOLDEN / "trefoil9_cube.txt").read_text()
 
+    @pytest.mark.parametrize("name, extra, golden", [
+        ("whitehead12", (), "whitehead12_cube.txt"),
+        ("whitehead12", ("--order", "8,7,6,5,4,3,2,1"),
+         "whitehead12_cube_reversed.txt"),
+        ("riii", (), "riii_cube.txt"),
+        ("kink5", (), "kink5_cube.txt"),
+    ])
+    def test_fixture_matches_golden(self, capsys, name, extra, golden):
+        # default projection direction, so whitehead12 has 8 crossings
+        code, out, _ = run(capsys, "cube", str(fixture_path(name)), *extra)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
     def test_custom_order(self, capsys):
         code, out, _ = run(capsys, "cube", TREFOIL, "--dir", "0,0,1",
                            "--order", "3,1,2")

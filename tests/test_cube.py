@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from polykh.perm import Permutation, parse_cycles
+from polykh.perm import (Permutation, compose, conjugate, parse_cycles,
+                         reflection_in)
 from polykh import cube as cube_module
 from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
                          smooth_crossing_trace, smooth_crossing_theorem,
@@ -72,10 +74,63 @@ def full_graph_trace(state, l, choice):
     return Permutation(succ)
 
 
+def reverse_cycles(perm, members):
+    """Reference reversal of every cycle of perm holding a member."""
+    return Permutation.from_cycles(perm.n, [
+        cyc[::-1] if set(cyc) & set(members) else cyc
+        for cyc in perm.cycles()])
+
+
+def permutation_formula(state, l, choice):
+    """Reference formula side: the closed formulas in the algebra of the
+    perm module, each transposition and reflection a full Permutation."""
+    crossing = state.diagram.crossings[l - 1]
+    i, j, v, w = crossing.quadruple
+    eps = crossing.sign
+    sigma = state.successor
+    n = sigma.n
+    T = lambda a, b: Permutation.transposition(n, a, b)
+    same = v in sigma.cycle_containing(i)
+
+    if sigma(i) == j and sigma(v) == w:
+        if (choice == 0) == (eps == 1):
+            res = compose(T(j, w), sigma)
+        elif same:
+            res = conjugate(sigma, reflection_in(compose(T(j, w), sigma), j, v))
+        else:
+            res = conjugate(compose(T(j, w), sigma), reflection_in(sigma, v, w))
+    elif sigma(i) == j and sigma(w) == v:
+        if (choice == 1) == (eps == 1):
+            res = compose(T(j, v), sigma)
+        elif same:
+            res = conjugate(sigma, reflection_in(compose(T(j, v), sigma), j, w))
+        else:
+            res = conjugate(compose(T(j, v), sigma), reflection_in(sigma, v, w))
+    elif sigma(j) == i and sigma(v) == w:
+        if (choice == 1) == (eps == 1):
+            res = compose(sigma, T(j, v))
+        elif same:
+            res = conjugate(sigma, reflection_in(compose(sigma, T(j, v)), j, w))
+        else:
+            res = conjugate(compose(sigma, T(j, v)), reflection_in(sigma, v, w))
+        res = reverse_cycles(res, (i, v))
+    else:
+        assert sigma(j) == i and sigma(w) == v
+        if (choice == 0) == (eps == 1):
+            res = compose(sigma, T(j, w))
+        elif same:
+            res = conjugate(sigma, reflection_in(compose(sigma, T(j, w)), j, v))
+        else:
+            res = conjugate(compose(sigma, T(j, w)), reflection_in(sigma, v, w))
+        res = reverse_cycles(res, (i, v))
+    return res
+
+
 def check_every_step(diagram, orders):
-    """Resolve along every order, comparing the formula, the trace and the
-    full-graph reference at each step; returns how many steps re-wired a
-    circle holding neither i nor v."""
+    """Resolve along every order, comparing the trace, the formula, the
+    full-graph reference and the permutation-algebra reference at each
+    step; returns how many steps re-wired a circle holding neither i nor
+    v."""
     further = 0
     for order in orders:
         stack = [initial_state(diagram)]
@@ -87,11 +142,12 @@ def check_every_step(diagram, orders):
             l = order[depth]
             i, j, v, w = diagram.crossings[l - 1].quadruple
             for choice in (0, 1):
-                traced = smooth_crossing_trace(state, l, choice)
-                formula = smooth_crossing_theorem(state, l, choice)
+                traced = cube_module.smooth_crossing_trace(state, l, choice)
+                formula = cube_module.smooth_crossing_theorem(state, l, choice)
                 reference = full_graph_trace(state, l, choice)
                 assert traced.successor == reference
                 assert formula.successor == reference
+                assert permutation_formula(state, l, choice) == reference
                 jw = traced.successor.cycle_containing(j)
                 if w in jw and i not in jw and v not in jw:
                     further += 1
@@ -228,6 +284,143 @@ class TestTheoremVsTrace:
         word, crossing, choice = mutated[0]
         assert (info.value.word, info.value.crossing,
                 info.value.choice) == (word, crossing, choice)
+
+    def test_mutant_strand_trace_caught(self, whitehead_diagram,
+                                        monkeypatch):
+        # walk the remaining strand (the j-w circle, holding neither i nor
+        # v) against sigma's direction: the full-graph reference must
+        # disagree, and build_cube must report the first changed step
+        original = smooth_crossing_trace
+        mutated = []
+
+        def mutant(state, l, choice):
+            out = original(state, l, choice)
+            i, j, v, w = state.diagram.crossings[l - 1].quadruple
+            jw = out.successor.cycle_containing(j)
+            if i in jw or v in jw:
+                return out
+            res = reverse_cycles(out.successor, (j,))
+            if res == out.successor:
+                return out
+            mutated.append((state.word, l, choice))
+            return cube_module.SmoothingState(out.diagram, out.word, res)
+
+        monkeypatch.setattr(cube_module, "smooth_crossing_trace", mutant)
+        with pytest.raises(AssertionError):
+            check_every_step(whitehead_diagram,
+                             [tuple(range(1, whitehead_diagram.k + 1))])
+        assert mutated
+        mutated.clear()
+        with pytest.raises(CubeMismatchError) as info:
+            build_cube(whitehead_diagram)
+        assert mutated
+        word, crossing, choice = mutated[0]
+        assert (info.value.word, info.value.crossing,
+                info.value.choice) == (word, crossing, choice)
+
+
+def sibling_relations(state, l):
+    """The paper's direct relations between the two resolutions of
+    crossing l: maps each relation that applies to whether it holds.
+
+    sigma_minus denotes the 1-resolution and sigma_plus the 0-resolution,
+    both from the trace oracle.
+    """
+    crossing = state.diagram.crossings[l - 1]
+    i, j, v, w = crossing.quadruple
+    eps = crossing.sign
+    sigma = state.successor
+    n = sigma.n
+    T = lambda a, b: Permutation.transposition(n, a, b)
+    plus = smooth_crossing_trace(state, l, 0).successor
+    minus = smooth_crossing_trace(state, l, 1).successor
+    report = {}
+
+    if v not in sigma.cycle_containing(i):
+        # distinct cycles: minus = plus conjugated by the parent v-w reflection
+        xi = reflection_in(sigma, v, w)
+        report["distinct: minus = plus^xi(v,w)"] = (minus == conjugate(plus, xi))
+        return report
+
+    # same cycle: {a,b} with sigma(a) = b
+    a, b = (v, w) if sigma(v) == w else (w, v)
+    assert sigma(a) == b
+    if sigma(i) == j:
+        if (a == w and eps == 1) or (a == v and eps == -1):
+            lhs = compose(T(j, b), conjugate(plus, reflection_in(minus, j, a)))
+            report["same, i->j, case 1"] = (minus == lhs)
+        else:
+            lhs = conjugate(compose(T(j, b), plus), reflection_in(plus, j, a))
+            report["same, i->j, case 2"] = (minus == lhs)
+    else:
+        # the published identity is stated for the reversed parent
+        # orientation; translate the children into that convention
+        p_rev = reverse_cycles(plus, (i, v))
+        m_rev = reverse_cycles(minus, (i, v))
+        if (a == v and eps == -1) or (a == w and eps == 1):
+            lhs = conjugate(compose(p_rev, T(j, a)), reflection_in(p_rev, j, b))
+            report["same, j->i, case 1"] = (m_rev == lhs)
+        else:
+            lhs = compose(conjugate(p_rev, reflection_in(m_rev, j, b)), T(j, a))
+            report["same, j->i, case 2"] = (m_rev == lhs)
+    return report
+
+
+class TestSiblingRelations:
+    def test_relations_hold(self):
+        # every state of the default-order descent, with the next crossing
+        diagrams = [build_good_diagram(load_fixture(name), DIR_Z)
+                    for name in ("trefoil9", "whitehead12", "kink5", "riii")]
+        rng = random.Random(7)
+        diagrams += [random_diagram(rng)[0] for _ in range(8)]
+        hits = {}
+        for diagram in diagrams:
+            stack = [initial_state(diagram)]
+            while stack:
+                state = stack.pop()
+                depth = sum(1 for x in state.word if x != 2)
+                if depth == diagram.k:
+                    continue
+                l = depth + 1
+                for name, holds in sibling_relations(state, l).items():
+                    assert holds, (name, state.word, l)
+                    hits[name] = hits.get(name, 0) + 1
+                stack += [resolve(state, l, 0), resolve(state, l, 1)]
+        assert len(hits) == 5, hits
+
+
+permutations = st.integers(2, 9).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(Permutation)
+
+
+class TestImageLists:
+    @given(permutations, st.data())
+    def test_helpers_match_permutation_algebra(self, p, data):
+        n = p.n
+        img = [0, *p.images]
+        as_perm = lambda q: Permutation(q[1:])
+        a = data.draw(st.integers(1, n))
+        b = data.draw(st.integers(1, n).filter(lambda x: x != a))
+        T = Permutation.transposition(n, a, b)
+        assert as_perm(cube_module._left_swap(img, a, b)) == compose(T, p)
+        assert as_perm(cube_module._right_swap(img, a, b)) == compose(p, T)
+        assert tuple(cube_module._cycle_of(img, a)) == p.cycle_containing(a)
+        assert (as_perm(cube_module._reversed_cycles(img, (a, b)))
+                == reverse_cycles(p, (a, b)))
+        assert img == [0, *p.images]        # no helper edits its input
+        cyc = p.cycle_containing(a)
+        if b not in cyc:
+            with pytest.raises(CubeError):
+                cube_module._reflection(img, a, b)
+        if len(cyc) == 1:
+            return
+        c = data.draw(st.sampled_from(cyc[1:]))
+        xi = reflection_in(p, a, c)
+        g = cube_module._reflection(img, a, c)
+        assert as_perm(g) == xi
+        q = Permutation(data.draw(st.permutations(range(1, n + 1))))
+        assert (as_perm(cube_module._conjugate([0, *q.images], g))
+                == conjugate(q, xi))
 
 
 class TestStateInvariants:
