@@ -45,16 +45,6 @@ class SmoothingState:
     def resolved(self) -> bool:
         return all(x != 2 for x in self.word)
 
-    @property
-    def r(self) -> int:
-        """Number of 1-letters among resolved positions."""
-        return sum(1 for x in self.word if x == 1)
-
-    @property
-    def c(self) -> int:
-        """Number of circles."""
-        return len(self.successor.cycles())
-
     def cycle_partition(self) -> frozenset:
         """Unoriented, unanchored circles: for orientation-insensitive equality."""
         out = set()

@@ -22,16 +22,24 @@ a*row - b*p with a = p[c], b = row[c], divided by the gcd of its entries.
 Both are invertible row operations over Q (a != 0), so the row space, and
 with it the rank over Q, is that of Gaussian elimination over the
 rationals, without a single Fraction.
+
+Complement rule.  The pivots of block (i-1, j) span im d^(i-1) and have
+distinct leading generators Y, so C^(i,j) = im d^(i-1) + span{e_b : b not in
+Y}.  d^i vanishes on im d^(i-1): build_complex's d^2 gate has proved it for
+every complex it returns.  So the rank of block (i, j) is that of its
+columns outside Y, and degrees are reduced in increasing i, each skipping
+the leading generators of the degree before.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .cube import Cube
 
@@ -292,6 +300,10 @@ def build_complex(cube: Cube) -> KhovanovComplex:
     # one shared int object per row index keeps the column dicts small
     row_ids = {i: list(range(len(b))) for i, b in basis.items()}
     columns = {i: [{} for _ in range(len(b))] for i, b in basis.items()}
+    # few edges differ in (kind, n, a, b, c): T(2,10) has 54 among 5120.
+    # Each edge map is kept as two mask arrays, 16 bytes a pair against 64
+    # for a list of (tail, head) tuples, which raised peak RSS.
+    images: dict[tuple, tuple[array, array]] = {}
     for edge in cube.edges:
         tail_c = circle_sets[edge.tail]
         head_c = circle_sets[edge.head]
@@ -302,11 +314,15 @@ def build_complex(cube: Cube) -> KhovanovComplex:
             c, (a, b) = _match_split(tail_c, head_c)
         cols, rows = columns[i], row_ids[i + 1]
         t_off, h_off, sign = offset[edge.tail], offset[edge.head], edge.sign
-        for t_mask, h_mask in _edge_images(edge.kind, len(tail_c), a, b, c):
+        key = (edge.kind, len(tail_c), a, b, c)
+        if key not in images:
+            tails, heads = zip(*_edge_images(*key))
+            images[key] = array("l", tails), array("l", heads)
+        for t_mask, h_mask in zip(*images[key]):
             cols[t_off + t_mask][rows[h_off + h_mask]] = sign
     diffs = {i: Differential(cols) for i, cols in columns.items()}
     _check_q_grading(j_grading, diffs)
-    _check_d_squared(basis, diffs)
+    _check_d_squared(diffs)
     return KhovanovComplex(kp, km, basis, j_grading, diffs)
 
 
@@ -358,17 +374,6 @@ def _edge_images(kind: str, n: int, a: int, b: int, c: int):
     return out
 
 
-def _columns(d, size: int) -> list[dict[int, int]]:
-    """The columns of a Differential, or of any (row, col) -> c mapping."""
-    if isinstance(d, Differential):
-        return d.columns
-    cols: list[dict[int, int]] = [{} for _ in range(size)]
-    for (row, col), c in d.items():
-        if c:
-            cols[col][row] = c
-    return cols
-
-
 def _check_q_grading(j_grading, diffs):
     for i, d in diffs.items():
         j_src, j_dst = j_grading[i], j_grading.get(i + 1)
@@ -379,15 +384,14 @@ def _check_q_grading(j_grading, diffs):
                     raise KhovanovError("differential does not preserve q-grading")
 
 
-def _check_d_squared(basis, diffs):
+def _check_d_squared(diffs):
     """d^{i+1} d^i = 0, column by column; every column lies in one (i, j)
     block, and so does its image."""
     for i in diffs:
         if i + 1 not in diffs:
             continue
-        first = _columns(diffs[i], len(basis[i]))
-        second = _columns(diffs[i + 1], len(basis[i + 1]))
-        for image in first:
+        second = diffs[i + 1].columns
+        for image in diffs[i].columns:
             acc: dict[int, int] = {}
             for mid, c1 in image.items():
                 for row, c2 in second[mid].items():
@@ -400,9 +404,10 @@ def _check_d_squared(basis, diffs):
 # homology
 
 
-def _rank(rows) -> int:
-    """Rank over Q of integer rows (dicts col -> nonzero int), which it
-    consumes.  Fraction-free elimination: see the module docstring."""
+def _pivots(rows) -> dict[int, dict[int, int]]:
+    """Pivot rows of integer rows (dicts col -> nonzero int), which it
+    consumes, keyed by their leading (lowest) column; there are as many as
+    the rank over Q.  Fraction-free elimination: see the module docstring."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         while row:
@@ -426,7 +431,7 @@ def _rank(rows) -> int:
                         del row[c2]
             else:
                 row = _cross_reduce(a, row, b, piv)
-    return len(pivots)
+    return pivots
 
 
 def _cross_reduce(a: int, row: dict[int, int], b: int,
@@ -445,33 +450,31 @@ def _cross_reduce(a: int, row: dict[int, int], b: int,
     return out
 
 
-def _sparse_rank(rows) -> int:
-    """Rank over Q of sparse rows, mappings col -> int or Fraction."""
-    return _rank(_integral_row(r) for r in rows)
-
-
-def _integral_row(row) -> dict[int, int]:
-    """The row times the lcm of its denominators, with zeros dropped."""
-    den = lcm(*(Fraction(v).denominator for v in row.values()))
-    return {c: int(v * den) for c, v in row.items() if v}
-
-
 def homology(complex_: KhovanovComplex) -> dict[tuple[int, int], int]:
     """Dimensions of the rational homology per bidegree (i, j)."""
     dims: dict[tuple[int, int], int] = {}
     ranks: dict[tuple[int, int], int] = {}
 
-    for i, d in complex_.differentials.items():
+    # a block's columns are _pivots's rows, so a pivot's key is a generator
+    # of the next degree; leading[i] flags those of d^(i-1), which block
+    # (i, j) skips by the complement rule (module docstring)
+    leading: dict[int, bytearray] = {}
+    for i in sorted(complex_.differentials):
+        columns = complex_.differentials[i].columns
         j_src = complex_.j_grading[i]
+        skip = leading.pop(i, None) or bytearray(len(columns))
         blocks: dict[int, list[dict[int, int]]] = {}
-        for col, image in enumerate(d.columns):
-            if image:
+        for col, image in enumerate(columns):
+            if image and not skip[col]:
                 blocks.setdefault(j_src[col], []).append(image)
+        size = len(complex_.j_grading.get(i + 1, ()))
+        lead = leading[i + 1] = bytearray(size)
         for j, block in blocks.items():
-            # the block's columns are reduced as _rank's rows, last column
-            # first: with pivots on the lowest row this keeps fill-in small;
-            # in column order T(2,10)'s blocks took 17x longer
-            ranks[(i, j)] = _rank(dict(image) for image in reversed(block))
+            pivots = _pivots(dict(image) for image in block)
+            ranks[(i, j)] = len(pivots)
+            for row in pivots:
+                lead[row] = 1
+            del pivots      # before the next block's pivots are built
 
     for i, js in complex_.j_grading.items():
         count: dict[int, int] = {}

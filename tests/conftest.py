@@ -68,3 +68,41 @@ def random_diagram(rng: random.Random, k_max: int = 6):
     _link, refined, direction, diagram = randlinks.random_diagram(
         rng.randrange(1 << 30), max_crossings=k_max)
     return diagram, refined, direction
+
+
+def torus_table(n: int, sign: int) -> dict[tuple[int, int], int]:
+    """Rational Khovanov homology of T(2, n) with n crossings of one sign.
+
+    Khovanov, *A categorification of the Jones polynomial* (Duke 2000), §6.2,
+    for positive crossings: q^(n-2) + q^n in degree 0, then
+    t^(2s) q^(n+4s-2) + t^(2s+1) q^(n+4s+2) for 1 <= s <= (n-1)/2; an even n
+    (two components, parallel orientation) ends with t^n q^(3n-2) + t^n q^(3n).
+    Negative crossings give the mirror, dim KH^{i,j} = dim KH^{-i,-j}.
+    """
+    table = {(0, n - 2): 1, (0, n): 1}
+    for s in range(1, (n - 1) // 2 + 1):
+        table[(2 * s, n + 4 * s - 2)] = 1
+        table[(2 * s + 1, n + 4 * s + 2)] = 1
+    if n % 2 == 0:
+        table[(n, 3 * n - 2)] = 1
+        table[(n, 3 * n)] = 1
+    return {(sign * i, sign * j): d for (i, j), d in table.items()}
+
+
+def twist_link(n: int, sign: int) -> PolygonalLink:
+    """T(2, n) as the closure of a two-strand braid with n crossings, each
+    of the given sign in the projection along (0, 0, 1).
+
+    Two zigzags run left to right and cross once per unit step in x, the
+    one rising in y always on the same side.  The strand that ends at y = 0
+    returns below y = -2 to (0, 0), the one ending at y = 1 returns above
+    y = 3 to (0, 1): two components for even n, one for odd n.  The two
+    signs are mirror images, z -> -z.
+    """
+    a = [(x, x % 2, x if x % 2 else -x) for x in range(n + 1)]
+    b = [(x, 1 - x % 2, -x if x % 2 else x) for x in range(n + 1)]
+    below = [(n + 1, -2, 1), (-1, -2, 1)]
+    above = [(n + 1, 3, -1), (-1, 3, -1)]
+    comps = [a + below, b + above] if n % 2 == 0 else [a + above + b + below]
+    return PolygonalLink.from_lists(
+        [[(x, y, -sign * z) for x, y, z in comp] for comp in comps])

@@ -24,7 +24,7 @@ from polykh.geometry import GeometryError, DeformationError, project_link, \
     is_good_projection
 from polykh.diagram import DiagramError
 
-from conftest import DIR_Z, random_link, random_diagram
+from conftest import DIR_Z, random_link, random_diagram, torus_table
 
 
 REPORT: list[str] = []
@@ -263,6 +263,8 @@ def test_criterion_8_twelve_crossing_stress(capsys):
     code = main(["homology", str(fixture_path("twist12")), "--dir", "0,0,1"])
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
-    table = [line.split("\t") for line in out.strip().splitlines()]
-    assert code == 0 and len(table) == 14
-    assert elapsed < 120.0
+    rows = [map(int, line.split("\t")) for line in out.strip().splitlines()]
+    table = {(i, j): dim for i, j, dim in rows}
+    # twist12 is T(2,12) with 12 negative crossings along (0, 0, 1)
+    assert code == 0 and table == torus_table(12, -1)
+    assert elapsed < 60.0

@@ -1,7 +1,9 @@
 """Jones state sum, chain complex, and rational homology."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 import random
 from types import SimpleNamespace
 
@@ -11,10 +13,11 @@ from hypothesis import given, strategies as st
 from polykh.khovanov import (KhovanovError, LaurentPoly, jones_state_sum,
                              normalized_jones, build_complex, homology,
                              khovanov_homology, euler_characteristic,
-                             homology_tsv, _check_d_squared, _sparse_rank)
+                             homology_tsv, Differential, _check_d_squared,
+                             _pivots)
 from polykh import build_good_diagram, build_cube, load_fixture
 
-from conftest import DIR_Z, random_diagram
+from conftest import DIR_Z, random_diagram, torus_table, twist_link
 
 small_poly = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
                              max_size=5).map(LaurentPoly)
@@ -111,11 +114,15 @@ class TestComplex:
 
     def test_d_squared_rejects_tampering(self, trefoil_cube):
         cx = build_complex(trefoil_cube)
-        diffs = {i: dict(d) for i, d in cx.differentials.items()}
-        key = next(iter(diffs[0]))
-        diffs[0][key] = -diffs[0][key]
+        diffs = dict(cx.differentials)
+        columns = [dict(image) for image in diffs[0].columns]
+        image = next(image for image in columns if image)
+        row = next(iter(image))
+        image[row] = -image[row]
+        _check_d_squared(diffs)
+        diffs[0] = Differential(columns)
         with pytest.raises(KhovanovError, match="d\\^2"):
-            _check_d_squared(cx.basis, diffs)
+            _check_d_squared(diffs)
 
 
 def _label_complex(cube):
@@ -156,6 +163,18 @@ def _label_complex(cube):
     return index, diffs
 
 
+def _sparse_rank(rows):
+    """Rank over Q of sparse rows, mappings col -> int or Fraction, by the
+    integer elimination after clearing each row's denominators."""
+    return len(_pivots(_integral_row(row) for row in rows))
+
+
+def _integral_row(row):
+    """The row times the lcm of its denominators, with zeros dropped."""
+    den = lcm(*(F(v).denominator for v in row.values()))
+    return {c: int(v * den) for c, v in row.items() if v}
+
+
 def _fraction_rank(rows):
     """Dense Gaussian elimination over Fraction: the reference rank."""
     cols = sorted({c for row in rows for c in row})
@@ -194,6 +213,15 @@ class TestRank:
                                     max_size=6), max_size=7))
     def test_rank_matches_fraction_reference(self, rows):
         assert _sparse_rank(rows) == _fraction_rank(rows)
+
+    @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3),
+                                    max_size=6), max_size=7))
+    def test_pivots_keyed_by_leading_column(self, rows):
+        # the complement rule in homology reads each key as the lowest
+        # column of its pivot
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        for col, piv in _pivots(dict(row) for row in rows).items():
+            assert piv and min(piv) == col
 
     @given(st.lists(st.dictionaries(st.integers(0, 4),
                                     st.fractions(min_value=-3, max_value=3,
@@ -237,6 +265,45 @@ class TestHomology:
         assert len(diagonals) == 2 and diagonals[1] - diagonals[0] == 2
         assert sum(table.values()) == 10
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_torus_links_match_closed_form(self, sign):
+        for n in range(2, 9):
+            diagram = build_good_diagram(twist_link(n, sign), DIR_Z)
+            assert [cr.sign for cr in diagram.crossings] == [sign] * n
+            assert khovanov_homology(build_cube(diagram)) \
+                == torus_table(n, sign)
+
+    def test_matches_full_rank_reference(self):
+        cubes = [build_cube(build_good_diagram(load_fixture(name), DIR_Z))
+                 for name in ("square", "two_squares", "trefoil9",
+                              "whitehead12", "kink5", "riii")]
+        rng = random.Random(43)
+        cubes += [build_cube(random_diagram(rng)[0]) for _ in range(8)]
+        cubes += [build_cube(build_good_diagram(twist_link(n, sign), DIR_Z))
+                  for n in range(2, 9) for sign in (1, -1)]
+        for cube in cubes:
+            cx = build_complex(cube)
+            assert homology(cx) == _full_rank_homology(cx)
+
     def test_tsv_format(self):
         assert homology_tsv({(0, 1): 1, (0, -1): 1}) == "0\t-1\t1\n0\t1\t1\n"
         assert homology_tsv({}) == ""
+
+
+def _full_rank_homology(cx):
+    """Homology with every (i, j) block ranked on all of its columns, the
+    reference for the complement rule that homology applies."""
+    ranks = {}
+    for i, d in cx.differentials.items():
+        blocks = {}
+        for col, image in enumerate(d.columns):
+            blocks.setdefault(cx.j_grading[i][col], []).append(image)
+        for j, block in blocks.items():
+            ranks[(i, j)] = _sparse_rank(block)
+    dims = {}
+    for i, js in cx.j_grading.items():
+        for j, count in Counter(js).items():
+            dim = count - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
+            if dim:
+                dims[(i, j)] = dim
+    return dims
