@@ -376,11 +376,12 @@ def cmd_verify(args) -> int:
             else:
                 record("d-squared", False, str(exc))
 
+    table = None
     if cube is not None and complex_ is not None:
         try:
+            table = homology(complex_)
             j_hat = jones_state_sum(cube)
             chain_ok = complex_.chain_euler() == j_hat
-            table = homology(complex_)
             hom_ok = euler_characteristic(table) == j_hat
             record("euler-identity", chain_ok and hom_ok,
                    "" if chain_ok and hom_ok else
@@ -389,9 +390,9 @@ def cmd_verify(args) -> int:
         except KhovanovError as exc:
             record("euler-identity", False, str(exc))
 
-    if complex_ is not None:
-        ok, detail = _move_invariance(refined, direction, homology(complex_),
-                                      args.trials, rng)
+    if table is not None:
+        ok, detail = _move_invariance(refined, direction, table, args.trials,
+                                      rng)
         record("move-invariance", ok, detail)
 
     failed = [r for r in results if not r[1]]

@@ -223,11 +223,6 @@ def _reversed_cycles(p: list[int], members) -> list[int]:
     return q
 
 
-def _reverse_cycles_touching(perm: Permutation, members) -> Permutation:
-    """Reverse every cycle of ``perm`` that contains a member of ``members``."""
-    return Permutation(_reversed_cycles([0, *perm.images], members)[1:])
-
-
 def smooth_crossing_theorem(state: SmoothingState, l: int,
                             choice: int) -> SmoothingState:
     """Resolve crossing l via the closed permutation formulas.

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
-from .geometry import (PolygonalLink, Projection, Vec2, Vec3, GeometryError,
-                       project_link, is_good_projection, refine_to_good,
-                       find_regular_direction, sub2, cross2)
+from .geometry import (ComponentNeighbours, PolygonalLink, Projection, Vec2,
+                       Vec3, GeometryError, project_link, is_good_projection,
+                       refine_to_good, find_regular_direction, sub2, cross2)
 from .perm import Permutation
 
 
@@ -41,7 +40,7 @@ class CrossingRecord:
 
 
 @dataclass(frozen=True)
-class GoodDiagram:
+class GoodDiagram(ComponentNeighbours):
     vertices: tuple[Vec2, ...]          # image of global vertex i at index i-1
     boundaries: tuple[int, ...]         # n_1 < ... < n_r
     crossings: tuple[CrossingRecord, ...]
@@ -65,39 +64,9 @@ class GoodDiagram:
     def vertex(self, gi: int) -> Vec2:
         return self.vertices[gi - 1]
 
-    @cached_property
-    def _successors(self) -> tuple[int, ...]:
-        """The component-successor of global vertex gi, at index gi - 1."""
-        out, lo = [], 0
-        for hi in self.boundaries:
-            out.extend(range(lo + 2, hi + 1))
-            out.append(lo + 1)
-            lo = hi
-        return tuple(out)
-
-    @cached_property
-    def _predecessors(self) -> tuple[int, ...]:
-        """The component-predecessor of global vertex gi, at index gi - 1."""
-        out, lo = [], 0
-        for hi in self.boundaries:
-            out.append(hi)
-            out.extend(range(lo + 1, hi))
-            lo = hi
-        return tuple(out)
-
-    def successor(self, gi: int) -> int:
-        if not 0 < gi <= len(self._successors):
-            raise IndexError(gi)
-        return self._successors[gi - 1]
-
-    def predecessor(self, gi: int) -> int:
-        if not 0 < gi <= len(self._predecessors):
-            raise IndexError(gi)
-        return self._predecessors[gi - 1]
-
     def component_permutation(self) -> Permutation:
         """sigma = sigma_1 ... sigma_r, the component-successor permutation."""
-        return Permutation(self._successors)
+        return Permutation(self._neighbours[0])
 
     def index_sets(self) -> tuple[frozenset, frozenset, frozenset]:
         """(I, V, K): overcrossing starts, undercrossing starts, the rest."""

@@ -105,8 +105,39 @@ def _integral(points) -> tuple[list[tuple[int, ...]], int]:
 # the link itself
 
 
+class ComponentNeighbours:
+    """Component-successor and -predecessor lookups of global vertex
+    indices, for a class whose ``boundaries`` holds the last global index
+    of each component, n_1 < ... < n_r."""
+
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The successors and the predecessors of global vertex gi, each at
+        index gi - 1."""
+        succ, pred, lo = [], [], 0
+        for hi in self.boundaries:
+            succ.extend(range(lo + 2, hi + 1))
+            succ.append(lo + 1)
+            pred.append(hi)
+            pred.extend(range(lo + 1, hi))
+            lo = hi
+        return tuple(succ), tuple(pred)
+
+    def successor(self, gi: int) -> int:
+        succ = self._neighbours[0]
+        if not 0 < gi <= len(succ):
+            raise IndexError(gi)
+        return succ[gi - 1]
+
+    def predecessor(self, gi: int) -> int:
+        pred = self._neighbours[1]
+        if not 0 < gi <= len(pred):
+            raise IndexError(gi)
+        return pred[gi - 1]
+
+
 @dataclass(frozen=True)
-class PolygonalLink:
+class PolygonalLink(ComponentNeighbours):
     """A disjoint union of closed polygonal curves, as cyclic vertex tuples.
 
     Vertices carry global indices 1..n, component after component; the
@@ -163,16 +194,6 @@ class PolygonalLink:
         ci = self.component_of(gi)
         lo, _ = self.component_range(ci)
         return self.components[ci][gi - lo]
-
-    def successor(self, gi: int) -> int:
-        ci = self.component_of(gi)
-        lo, hi = self.component_range(ci)
-        return lo if gi == hi else gi + 1
-
-    def predecessor(self, gi: int) -> int:
-        ci = self.component_of(gi)
-        lo, hi = self.component_range(ci)
-        return hi if gi == lo else gi - 1
 
     def edges(self) -> list[tuple[int, int]]:
         return [(gi, self.successor(gi)) for gi in range(1, self.n + 1)]

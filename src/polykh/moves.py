@@ -6,7 +6,9 @@ inserts a vertex the other way round.  How the move interacts with the
 crossings of the diagram falls into a small number of cases, classified here
 from the exact planar data; for the simple cases the cube of permutations of
 the deformed diagram can be produced by closed substitutions instead of a
-full recomputation.
+full recomputation.  The substitutions run on image lists with the helpers
+of the cube module: one step per kept cube vertex orients the circle through
+q_p, multiplies by a transposition and renumbers q_p away.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perm import Permutation, compose
+from .perm import Permutation
 from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       build_good_diagram, crossing_sign)
-from .cube import (Cube, CubeVertex, CubeError, SmoothingState, assemble_edges,
-                   vertex_group, _crossing_arcs, _reverse_cycles_touching)
+from .cube import (Cube, CubeVertex, SmoothingState, assemble_edges,
+                   vertex_group, _crossing_arcs, _cycle_of, _left_swap,
+                   _right_swap, _reversed_cycles)
 from .geometry import (PolygonalLink, DeformationError, seg2_intersection,
                        point_on_seg2, _point_in_triangle2, orient2,
                        deform_remove_vertex)
@@ -296,16 +299,15 @@ def _triangle_case(diagram: GoodDiagram, l: int, p: int,
 # deformed generators
 
 
-def _cycle_perm(sigma: Permutation, x: int) -> Permutation:
-    """The cycle of sigma through x as a permutation fixing everything else."""
-    return Permutation.from_cycles(sigma.n, [sigma.cycle_containing(x)])
-
-
 def deformed_generator(move: TriangleMove, state: SmoothingState) -> Permutation:
     """The deformed component cycle of a full smoothing, by closed formula.
 
     The result is a permutation on the original vertex indices in which p is
-    a fixed point; renumbering is left to the caller.
+    a fixed point; renumbering is left to the caller.  The formulas are
+    evaluated on image lists; the comment above each line gives it in the
+    algebra of the perm module, with lam the cycle of sigma through x as a
+    permutation fixing everything else and T(a, b) the transposition of a
+    and b.
     """
     if move.tag in ("CA", "CB", "CC", "RIII"):
         raise MoveError(
@@ -313,41 +315,46 @@ def deformed_generator(move: TriangleMove, state: SmoothingState) -> Permutation
             "rebuild instead of using a closed generator formula")
     if not state.resolved:
         raise MoveError("deformed generators are defined for full smoothings")
-    sigma = state.successor
-    n = sigma.n
+    s = [0, *state.successor.images]          # s[x] = sigma(x)
     l, p, m = move.l, move.p, move.m
-    T = lambda a, b: Permutation.transposition(n, a, b)
+    # C3 is C2 with the roles of l and m exchanged; the other cases walk
+    # the cycle through p
+    x, y = {"C2": (l, m), "C3": (m, l)}.get(move.tag, (p, None))
+    cyc = _cycle_of(s, x)
+    lam = list(range(len(s)))
+    for c in cyc:
+        lam[c] = s[c]
 
     if move.tag == "C1":
-        lam = _cycle_perm(sigma, p)
-        if lam(l) == p:
-            return compose(lam, T(l, p))
-        if lam(p) == l:
-            return compose(lam, T(m, p))
+        if lam[l] == p:
+            # compose(lam, T(l, p))
+            return Permutation(_right_swap(lam, l, p)[1:])
+        if lam[p] == l:
+            # compose(lam, T(m, p))
+            return Permutation(_right_swap(lam, m, p)[1:])
         raise MoveError("edge l-p missing from the smoothing cycle")
 
     if move.tag in ("C2", "C3"):
-        # C3 is C2 with the roles of l and m exchanged
-        x, y = (l, m) if move.tag == "C2" else (m, l)
-        a = move.a
-        lam = _cycle_perm(sigma, x)
-        same = y in sigma.cycle_containing(x)
-        for cand in (lam, _reverse_cycles_touching(lam, (x,))):
+        a, same = move.a, y in cyc
+        for cand in (lam, _reversed_cycles(lam, (x,))):
             if same:
-                res = compose(T(y, p), cand, T(y, p), T(x, p))
+                # compose(T(y, p), cand, T(y, p), T(x, p))
+                res = _left_swap(
+                    _right_swap(_right_swap(cand, y, p), x, p), y, p)
             else:
-                res = compose(T(a, p), cand, T(x, p))
-            if res(p) == p:
-                return res
+                # compose(T(a, p), cand, T(x, p))
+                res = _left_swap(_right_swap(cand, x, p), a, p)
+            if res[p] == p:
+                return Permutation(res[1:])
         raise MoveError("no orientation of the smoothing cycle fixes p")
 
     # C4 / C5: multiply by the transposition exchanging p with the vertex
     # that replaces it in the crossing quadruple, on whichever side fixes p.
-    t = T(m, p) if move.tag == "C4" else T(l, p)
-    lam = _cycle_perm(sigma, p)
-    for res in (compose(t, lam), compose(lam, t)):
-        if res(p) == p:
-            return res
+    t = m if move.tag == "C4" else l
+    # compose(T(t, p), lam), then compose(lam, T(t, p))
+    for res in (_left_swap(lam, t, p), _right_swap(lam, t, p)):
+        if res[p] == p:
+            return Permutation(res[1:])
     raise MoveError("neither multiplication side fixes p")
 
 
@@ -359,15 +366,25 @@ def _renumber_index(x: int, p: int) -> int:
     return x - 1 if x > p else x
 
 
-def _renumber_perm(perm: Permutation, p: int) -> Permutation:
-    """Drop the fixed point p and shift higher indices down by one."""
-    if perm(p) != p:
-        raise MoveError(f"permutation does not fix {p}")
-    images = []
-    for x in range(1, perm.n):
-        old = x if x < p else x + 1
-        images.append(_renumber_index(perm(old), p))
-    return Permutation(images)
+def _renumbered(s: list[int], p: int) -> list[int]:
+    """Drop the fixed point p of the image list s and shift higher indices
+    down by one."""
+    return [_renumber_index(y, p) for y in s[:p] + s[p + 1:]]
+
+
+def _substituted(s: list[int], a: int, p: int) -> list[int]:
+    """One substitution step of ``transform_cube`` on the image list s.
+
+    The cycle through p is reversed if needed so that sigma(a) = p; then
+    compose(sigma, T(a, p)) sends a to sigma(p) and fixes p, and p is
+    renumbered away.
+    """
+    if s[a] != p:
+        if s[p] != a:
+            raise MoveError(f"edge {a}-{p} missing from the smoothing")
+        s = _reversed_cycles(s, (p,))
+    # compose(sigma, T(a, p))
+    return _renumbered(_right_swap(s, a, p), p)
 
 
 def _deformed_diagram(diagram: GoodDiagram, move: TriangleMove,
@@ -409,15 +426,6 @@ def _deformed_diagram(diagram: GoodDiagram, move: TriangleMove,
     return GoodDiagram(vertices, boundaries, tuple(out))
 
 
-def _oriented_for(sigma: Permutation, a: int, b: int) -> Permutation:
-    """Reverse the cycle through b if needed so that sigma(a) == b."""
-    if sigma(a) == b:
-        return sigma
-    if sigma(b) == a:
-        return _reverse_cycles_touching(sigma, (b,))
-    raise MoveError(f"edge {a}-{b} missing from the smoothing")
-
-
 def _bigon_letter(cr: CrossingRecord, p: int, other: int) -> int:
     """The resolution choice of the crossing that closes the bigon (p, other)."""
     for choice in (0, 1):
@@ -434,68 +442,61 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
     For a C1 move every vertex permutation is multiplied by the transposition
     (l, p); for a C2/C3 move the half-cube whose smoothings contain the
     residual bigon is discarded and the remaining permutations are multiplied
-    by the transposition joining p to its intact neighbour.  Returns the new
-    cube together with a provenance record of the substitutions applied.
+    by the transposition joining p to its intact neighbour.  Both run the
+    same substitution step on each kept vertex's image list: orient the
+    cycle through p, multiply, renumber p away.  Returns the new cube
+    together with a provenance record of the substitutions applied.
     """
     diagram = cube.diagram
     l, p, m = move.l, move.p, move.m
     provenance = [f"move {move.log_line()}"]
 
     if move.tag == "C1":
+        a, lc, rho = l, None, None
         diagram2 = _deformed_diagram(diagram, move)
+        order2 = cube.order
         provenance.append(
             f"every sigma_v multiplied on the right by <{l},{p}> "
             f"(cycles through {p} oriented so that sigma({l})={p}); "
             f"vertex {p} renumbered away")
-        vertices = {}
-        for word, vx in cube.vertices.items():
-            s = _oriented_for(vx.state.successor, l, p)
-            perm = _renumber_perm(
-                compose(s, Permutation.transposition(s.n, l, p)), p)
-            state = SmoothingState(diagram2, word, perm)
-            vertices[word] = CubeVertex(word, state, tuple(vertex_group(state)))
-        return Cube(diagram2, cube.order, vertices, assemble_edges(vertices)), \
-            provenance
-
-    if move.tag in ("C2", "C3"):
+    elif move.tag in ("C2", "C3"):
         side = (l, p) if move.tag == "C2" else (p, m)
-        intact = m if move.tag == "C2" else l
+        a = m if move.tag == "C2" else l        # p's intact neighbour
         cr = _crossing_on(diagram, *side)
         if cr is None:
             raise MoveError(f"no crossing on side {side}; "
                             "recompute the cube from the deformed diagram")
         lc = cr.index
-        rho = _bigon_letter(cr, p, intact)
+        rho = _bigon_letter(cr, p, a)
         diagram2 = _deformed_diagram(diagram, move, drop=(lc,))
+        order2 = tuple(x - 1 if x > lc else x for x in cube.order if x != lc)
         provenance.append(
             f"crossing {lc} vanishes; half-cube with letter {rho} at "
             f"position {lc} (the residual bigon side) discarded; remaining "
-            f"sigma_v multiplied on the right by <{intact},{p}>; vertex {p} "
+            f"sigma_v multiplied on the right by <{a},{p}>; vertex {p} "
             f"renumbered away")
-        vertices = {}
-        for word, vx in cube.vertices.items():
+    else:
+        raise MoveError(
+            f"{move.tag} has no closed cube substitution; recompute the cube "
+            "from the deformed diagram")
+
+    vertices = {}
+    for word, vx in cube.vertices.items():
+        s = [0, *vx.state.successor.images]
+        if lc is not None:
             if word[lc - 1] == rho:
                 # discarded half: sanity-check the stated bigon structure
-                if frozenset((p, intact)) not in {
-                        frozenset(c) for c in vx.state.successor.cycles()}:
+                if s[p] != a or s[a] != p:
                     raise MoveError(
-                        f"smoothing {word} lacks the bigon ({p},{intact}); "
+                        f"smoothing {word} lacks the bigon ({p},{a}); "
                         "recompute the cube from the deformed diagram")
                 continue
-            s = _oriented_for(vx.state.successor, intact, p)
-            perm = _renumber_perm(
-                compose(s, Permutation.transposition(s.n, intact, p)), p)
-            word2 = word[:lc - 1] + word[lc:]
-            state = SmoothingState(diagram2, word2, perm)
-            vertices[word2] = CubeVertex(word2, state,
-                                         tuple(vertex_group(state)))
-        order2 = tuple(x - 1 if x > lc else x for x in cube.order if x != lc)
-        return Cube(diagram2, order2, vertices, assemble_edges(vertices)), \
-            provenance
-
-    raise MoveError(
-        f"{move.tag} has no closed cube substitution; recompute the cube "
-        "from the deformed diagram")
+            word = word[:lc - 1] + word[lc:]
+        state = SmoothingState(diagram2, word,
+                               Permutation(_substituted(s, a, p)[1:]))
+        vertices[word] = CubeVertex(word, state, tuple(vertex_group(state)))
+    return Cube(diagram2, order2, vertices, assemble_edges(vertices)), \
+        provenance
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,16 @@ def square_link():
     return load_fixture("square")
 
 
+def cycle_partition(perm):
+    """The cycles of ``perm``, each up to reversal: for comparing smoothings
+    whose circles may be oriented independently."""
+    out = set()
+    for cyc in perm.cycles():
+        rev = (cyc[0],) + tuple(reversed(cyc[1:]))
+        out.add(min(cyc, rev))
+    return frozenset(out)
+
+
 def random_link(rng: random.Random) -> PolygonalLink:
     """A seeded random valid polygonal link with small integer coordinates."""
     return randlinks.random_link(rng)

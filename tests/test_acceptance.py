@@ -24,7 +24,8 @@ from polykh.geometry import GeometryError, DeformationError, project_link, \
     is_good_projection
 from polykh.diagram import DiagramError
 
-from conftest import DIR_Z, random_link, random_diagram, torus_table
+from conftest import (DIR_Z, cycle_partition, random_link, random_diagram,
+                      torus_table)
 
 
 REPORT: list[str] = []
@@ -43,14 +44,6 @@ def criterion(label):
             REPORT.append(f"PASS {label} ({time.perf_counter() - start:.1f}s)")
         return wrapper
     return deco
-
-
-def cycle_partition(perm):
-    out = set()
-    for cyc in perm.cycles():
-        rev = (cyc[0],) + tuple(reversed(cyc[1:]))
-        out.add(min(cyc, rev))
-    return frozenset(out)
 
 
 @criterion("criterion-1 trefoil crossing table")

@@ -166,6 +166,21 @@ class TestVerify:
                      "euler-identity", "move-invariance"):
             assert f"PASS {name}" in out
 
+    def test_homology_computed_once(self, capsys, monkeypatch):
+        # the Euler check and the move-invariance base share one table
+        real = polykh.cli.homology
+        calls = []
+
+        def counting(complex_):
+            calls.append(complex_)
+            return real(complex_)
+
+        monkeypatch.setattr(polykh.cli, "homology", counting)
+        code, out, _ = run(capsys, "verify", TREFOIL, "--dir", "0,0,1",
+                           "--trials", "2", "--seed", "3")
+        assert code == 0 and "PASS move-invariance" in out
+        assert len(calls) == 1
+
     def test_zero_crossing_vacuous(self, capsys):
         code, out, _ = run(capsys, "verify", SQUARE, "--dir", "0,0,1",
                            "--trials", "2")

@@ -15,15 +15,7 @@ from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
                          _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
 
-from conftest import DIR_Z, random_diagram
-
-
-def cycle_partition(perm):
-    out = set()
-    for cyc in perm.cycles():
-        rev = (cyc[0],) + tuple(reversed(cyc[1:]))
-        out.add(min(cyc, rev))
-    return frozenset(out)
+from conftest import DIR_Z, cycle_partition, random_diagram
 
 
 def full_graph_trace(state, l, choice):
@@ -270,7 +262,8 @@ class TestTheoremVsTrace:
             sigma = state.successor
             if (sigma(i) == j and sigma(v) == w
                     and (choice == 0) == (crossing.sign == 1)):
-                res = cube_module._reverse_cycles_touching(out.successor, (i,))
+                res = Permutation(cube_module._reversed_cycles(
+                    [0, *out.successor.images], (i,))[1:])
                 if res != out.successor:
                     mutated.append((state.word, l, choice))
                     return cube_module.SmoothingState(

@@ -1,6 +1,7 @@
 """Triangle moves: classification, algebraic updates, and full rebuilds."""
 
 from fractions import Fraction as F
+import random
 
 import pytest
 
@@ -12,18 +13,80 @@ from polykh.cube import build_cube
 from polykh.khovanov import khovanov_homology
 from polykh.moves import (MoveError, TriangleMove, classify_triangle_move,
                           deformed_generator, transform_cube, riii_relabel,
-                          apply_move, _renumber_perm, _renumber_index)
+                          apply_move, _renumbered, _renumber_index)
+from polykh.perm import Permutation, compose
 from polykh import load_fixture
 
-from conftest import DIR_Z
+from conftest import DIR_Z, cycle_partition, random_diagram
 
 
-def cycle_partition(perm):
-    out = set()
-    for cyc in perm.cycles():
-        rev = (cyc[0],) + tuple(reversed(cyc[1:]))
-        out.add(min(cyc, rev))
-    return frozenset(out)
+def renumbered(perm, p):
+    """``perm``, which fixes p, with p dropped and higher indices shifted."""
+    assert perm(p) == p
+    return Permutation(_renumbered([0, *perm.images], p)[1:])
+
+
+def substitution_reference(cube, move):
+    """The (word, successor) pairs of ``transform_cube``'s result, by the
+    Permutation algebra: a reference for the image-list substitution step.
+
+    Each kept sigma has the cycle through p reversed if needed so that
+    sigma(a) = p, with a = m for C2 and a = l for C1 and C3; it is then
+    composed with T(a, p), and p is renumbered away.  For C2/C3 the
+    smoothings holding the bigon (p, a) are discarded, and the others lose
+    the letter of the vanishing crossing, the one whose quadruple holds p.
+    """
+    p = move.p
+    a = move.m if move.tag == "C2" else move.l
+    lc = None
+    if move.tag in ("C2", "C3"):
+        lc = next(cr.index for cr in cube.diagram.crossings
+                  if p in cr.quadruple)
+    out = []
+    for word, vx in cube.vertices.items():
+        sigma = vx.state.successor
+        n = sigma.n
+        if lc is not None:
+            if sigma(p) == a and sigma(a) == p:
+                continue
+            word = word[:lc - 1] + word[lc:]
+        if sigma(a) != p:
+            assert sigma(p) == a
+            sigma = Permutation.from_cycles(
+                n, [cyc[::-1] if p in cyc else cyc for cyc in sigma.cycles()])
+        s = compose(sigma, Permutation.transposition(n, a, p))
+        assert s(p) == p
+        out.append((word, Permutation([_renumber_index(s(x), p)
+                                       for x in range(1, n + 1) if x != p])))
+    return out
+
+
+def generator_reference(move, sigma):
+    """``deformed_generator`` by the Permutation algebra: lam is the cycle
+    of sigma through x (p for C1, C4, C5) as a permutation fixing every
+    other index."""
+    n, l, p, m = sigma.n, move.l, move.p, move.m
+
+    def T(a, b):
+        return Permutation.transposition(n, a, b)
+
+    x, y = {"C2": (l, m), "C3": (m, l)}.get(move.tag, (p, None))
+    cyc = sigma.cycle_containing(x)
+    lam = Permutation.from_cycles(n, [cyc])
+    if move.tag == "C1":
+        assert lam(l) == p or lam(p) == l
+        return compose(lam, T(l, p) if lam(l) == p else T(m, p))
+    if move.tag in ("C2", "C3"):
+        candidates = []
+        for cand in (lam, Permutation.from_cycles(n, [cyc[::-1]])):
+            if y in cyc:
+                candidates.append(compose(T(y, p), cand, T(y, p), T(x, p)))
+            else:
+                candidates.append(compose(T(move.a, p), cand, T(x, p)))
+    else:
+        t = T(m, p) if move.tag == "C4" else T(l, p)
+        candidates = [compose(t, lam), compose(lam, t)]
+    return next(res for res in candidates if res(p) == p)
 
 
 def homology_of(link):
@@ -39,17 +102,40 @@ def two_component(second):
     return link
 
 
-@pytest.fixture(scope="module")
-def c1_setup():
-    """Trefoil with an extra vertex near the middle of edge (1,2): its
-    removal is a crossing-free triangle move."""
+def c1_links():
+    """The trefoil, and the trefoil with an extra vertex near the middle of
+    edge (1,2): its removal is a crossing-free triangle move."""
     link = load_fixture("trefoil9")
     a, b = link.vertex(1), link.vertex(2)
     apex = tuple((a[i] + b[i]) / 2 + off
                  for i, off in enumerate((F(1, 50), F(1, 40), F(1, 100))))
-    bigger = deform_add_vertex(link, 0, 0, apex)
-    diagram = build_good_diagram(bigger, DIR_Z)
-    return link, bigger, diagram
+    return link, deform_add_vertex(link, 0, 0, apex)
+
+
+@pytest.fixture(scope="module")
+def c1_setup():
+    link, bigger = c1_links()
+    return link, bigger, build_good_diagram(bigger, DIR_Z)
+
+
+def classified_removals(tags):
+    """(name, link, direction, diagram, move) for each removal with a tag
+    in ``tags``: among those of kink5, of the C1 fixture's larger link and
+    of seeded random diagrams."""
+    sources = [("kink5", load_fixture("kink5"), DIR_Z),
+               ("c1_links", c1_links()[1], DIR_Z)]
+    for seed in (1, 4, 5, 7):
+        _diagram, refined, direction = random_diagram(random.Random(seed))
+        sources.append((f"random{seed}", refined, direction))
+    for name, link, direction in sources:
+        diagram = build_good_diagram(link, direction)
+        for p in range(1, diagram.n + 1):
+            try:
+                move = classify_triangle_move(diagram, p, link=link)
+            except MoveError:
+                continue
+            if move.tag in tags:
+                yield name, link, direction, diagram, move
 
 
 class TestClassification:
@@ -212,19 +298,53 @@ class TestAlgebraicUpdates:
                 == [cr.quadruple + (cr.sign,) for cr in original.crossings])
 
     def test_bigon_half_cube(self):
+        # the vanishing crossing sits on side l-p (C2) or p-m (C3)
         link = load_fixture("kink5")
         diagram = build_good_diagram(link, DIR_Z)
-        move = classify_triangle_move(diagram, 2, link=link)
         cube = build_cube(diagram)
-        cube2, provenance = transform_cube(cube, move)
-        assert any("discarded" in line for line in provenance)
-        _move, _link2, diagram2 = apply_move(link, DIR_Z, 2)
-        rebuilt = build_cube(diagram2)
-        assert set(cube2.vertices) == set(rebuilt.vertices)
-        for word, vx in cube2.vertices.items():
-            other = rebuilt.vertices[word].state.successor
-            assert (cycle_partition(vx.state.successor)
-                    == cycle_partition(other))
+        for p, log in ((2, "C2 1 2 3 [4]"), (3, "C3 2 3 4 [1]")):
+            move = classify_triangle_move(diagram, p, link=link)
+            assert move.log_line() == log
+            cube2, provenance = transform_cube(cube, move)
+            assert any("discarded" in line for line in provenance)
+            _move, _link2, diagram2 = apply_move(link, DIR_Z, p)
+            rebuilt = build_cube(diagram2)
+            assert set(cube2.vertices) == set(rebuilt.vertices)
+            for word, vx in cube2.vertices.items():
+                other = rebuilt.vertices[word].state.successor
+                assert (cycle_partition(vx.state.successor)
+                        == cycle_partition(other))
+
+    def test_generator_for_vanishing_crossings(self):
+        # on every kept-half vertex of a C2/C3 move the deformed cycle,
+        # renumbered, is a circle of the rebuilt smoothing
+        tags = set()
+        for name, link, direction, diagram, move in classified_removals(
+                ("C2", "C3")):
+            tags.add(move.tag)
+            p = move.p
+            x, intact = ((move.l, move.m) if move.tag == "C2"
+                         else (move.m, move.l))
+            lc = next(cr.index for cr in diagram.crossings
+                      if p in cr.quadruple)
+            _move, _link2, diagram2 = apply_move(link, direction, p)
+            rebuilt = build_cube(diagram2)
+            kept = 0
+            for word, vx in build_cube(diagram).vertices.items():
+                sigma = vx.state.successor
+                if sigma(p) == intact and sigma(intact) == p:
+                    continue            # the discarded half
+                kept += 1
+                g = deformed_generator(move, vx.state)
+                # walked from its least member, as cycle_partition's are
+                cyc = next(c for c in renumbered(g, p).cycles()
+                           if _renumber_index(x, p) in c)
+                other = rebuilt.vertices[word[:lc - 1] + word[lc:]]
+                assert (min(cyc, (cyc[0],) + tuple(reversed(cyc[1:])))
+                        in cycle_partition(other.state.successor)), \
+                    f"{name} {move.log_line()} {word}"
+            assert kept == len(rebuilt.vertices)
+        assert tags == {"C2", "C3"}
 
     def test_composite_moves_require_rebuild(self):
         link = PolygonalLink.from_lists([
@@ -244,8 +364,7 @@ class TestAlgebraicUpdates:
         rebuilt = build_cube(diagram2)
         for word, vx in cube.vertices.items():
             g = deformed_generator(move, vx.state)
-            assert g(move.p) == move.p
-            renum = _renumber_perm(g, move.p)
+            renum = renumbered(g, move.p)
             cyc = renum.cycle_containing(_renumber_index(move.l, move.p))
             assert (min(cyc, (cyc[0],) + tuple(reversed(cyc[1:])))
                     in cycle_partition(rebuilt.vertices[word].state.successor))
@@ -265,6 +384,35 @@ class TestAlgebraicUpdates:
             for vx in cube.vertices.values():
                 g = deformed_generator(move, vx.state)
                 assert g(move.p) == move.p
+
+
+class TestPermutationAlgebraReference:
+    def test_transform_matches_reference(self):
+        # exact successor images, not up to circle reversal: an orientation
+        # slip in the substitution step changes them
+        tags = set()
+        for name, _link, _dir, diagram, move in classified_removals(
+                ("C1", "C2", "C3")):
+            tags.add(move.tag)
+            cube = build_cube(diagram)
+            cube2, _provenance = transform_cube(cube, move)
+            got = [(w, vx.state.successor) for w, vx in cube2.vertices.items()]
+            assert got == substitution_reference(cube, move), \
+                f"{name} {move.log_line()}"
+        assert tags == {"C1", "C2", "C3"}
+
+    def test_generator_matches_reference(self):
+        # every vertex, the discarded halves of C2/C3 included: there the
+        # cycles through x and y may be distinct
+        tags = set()
+        for name, _link, _dir, diagram, move in classified_removals(
+                ("C1", "C2", "C3", "C4", "C5")):
+            tags.add(move.tag)
+            for word, vx in build_cube(diagram).vertices.items():
+                assert (deformed_generator(move, vx.state)
+                        == generator_reference(move, vx.state.successor)), \
+                    f"{name} {move.log_line()} {word}"
+        assert tags == {"C1", "C2", "C3", "C4", "C5"}
 
 
 class TestApplyMove:
