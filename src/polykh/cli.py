@@ -22,13 +22,18 @@ from .diagram import (DiagramError, GoodDiagram, CrossingRecord,
 from .cube import Cube, CubeError, build_cube
 from .khovanov import (KhovanovError, jones_state_sum, normalized_jones,
                        build_complex, homology, khovanov_homology,
-                       euler_characteristic, homology_tsv)
+                       euler_characteristic, homology_tsv, generator_count)
 from .moves import MoveError, apply_move
 from .perm import PermError
 
 
 DOMAIN_ERRORS = (GeometryError, DiagramError, CubeError, KhovanovError,
                  MoveError, PermError)
+
+# Building and ranking the complex peaks at about 190 bytes of RSS per
+# generator (twist12: 99 MB for 531,444; T(2,14): 687 MB for 4,782,972),
+# so 10M generators take about 2 GB.
+DEFAULT_MAX_GENERATORS = 10_000_000
 
 
 def _parse_direction(text: str):
@@ -113,14 +118,33 @@ def parse_diagram(text: str) -> GoodDiagram:
             f"line {boundaries_line}: boundaries {boundaries} do not "
             f"increase to the {n} vertex records")
     diagram = GoodDiagram(tuple(vertices), boundaries, tuple(crossings))
-    for cr, lineno in zip(crossings, crossing_lines):
+    crossed: dict[int, int] = {}      # edge start -> its crossing's index
+    for m, (cr, lineno) in enumerate(zip(crossings, crossing_lines), start=1):
         where = f"line {lineno}: crossing {cr.index}"
+        if cr.index != m:
+            raise LinkFileError(
+                f"{where}: expected index {m}; the crossings are numbered "
+                f"1..{len(crossings)} in the order of their records")
+        if m > 1 and cr.i <= crossings[m - 2].i:
+            raise LinkFileError(
+                f"{where}: overcrossing edge ({cr.i},{cr.j}) comes before "
+                f"that of crossing {m - 1} in the walk")
         if not all(1 <= x <= n for x in cr.quadruple):
             raise LinkFileError(f"{where}: vertex index out of 1..{n}")
         if diagram.successor(cr.i) != cr.j or diagram.successor(cr.v) != cr.w:
             raise LinkFileError(
                 f"{where}: ({cr.i},{cr.j}) and ({cr.v},{cr.w}) must be "
                 f"edges, each ending at the successor of its start")
+        if len(set(cr.quadruple)) < 4:
+            raise LinkFileError(
+                f"{where}: edges ({cr.i},{cr.j}) and ({cr.v},{cr.w}) share "
+                f"a vertex")
+        for start, end in ((cr.i, cr.j), (cr.v, cr.w)):
+            if start in crossed:
+                raise LinkFileError(
+                    f"{where}: edge ({start},{end}) already carries crossing "
+                    f"{crossed[start]}")
+            crossed[start] = m
         qi, qj, qv, qw = (diagram.vertex(x) for x in cr.quadruple)
         try:
             sign = crossing_sign(qi, qj, qv, qw)
@@ -208,9 +232,19 @@ def cmd_jones(args) -> int:
     return 0
 
 
+def _check_generator_budget(cube: Cube, budget: int) -> None:
+    count = generator_count(cube)
+    if count > budget:
+        raise KhovanovError(
+            f"the chain complex would have {count} generators, more than "
+            f"the budget of {budget} (--max-generators)")
+
+
 def cmd_homology(args) -> int:
     diagram, _link, _direction = _pipeline(args)
-    table = khovanov_homology(build_cube(diagram))
+    cube = build_cube(diagram)
+    _check_generator_budget(cube, args.max_generators)
+    table = khovanov_homology(cube)
     if args.format == "json":
         text = json.dumps([[i, j, d] for (i, j), d in sorted(table.items())])
         text += "\n"
@@ -366,6 +400,7 @@ def cmd_verify(args) -> int:
 
     complex_ = None
     if cube is not None:
+        _check_generator_budget(cube, args.max_generators)
         try:
             complex_ = build_complex(cube)
             record("d-squared", True)
@@ -499,12 +534,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, output=False)
     p.set_defaults(func=cmd_jones)
 
+    def budget(p):
+        p.add_argument("--max-generators", type=int,
+                       default=DEFAULT_MAX_GENERATORS,
+                       help="refuse a chain complex with more generators "
+                            f"(default {DEFAULT_MAX_GENERATORS})")
+
     p = sub.add_parser("homology", help="Khovanov homology table")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     common(p, output=False)
+    budget(p)
     p.add_argument("--trials", type=int, default=10)
     p.set_defaults(func=cmd_verify)
 

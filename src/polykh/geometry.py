@@ -778,6 +778,26 @@ def _pick_refinement_target(proj: Projection):
     raise GeometryError("no refinement target found")  # pragma: no cover
 
 
+# Exact candidates can double their denominators' length with each vertex
+# inserted next to the last one (twist12 along (-1,-3,2) reaches 28063 bits
+# by its 39th insertion).  A longer candidate is rounded to the grid
+# 2^-DENOMINATOR_BITS, so all rounded vertices share one denominator and the
+# lcm that _integral scales by stays small.  The benchmark's refinements
+# stay below the cap: at most 33 bits over 375 corpus links along both
+# directions, and 107 over the random links of 400 cube-moves seeds.  Each
+# bit of cap costs time on twist12: 6.5 s at 64 bits, 11 s at 128.
+DENOMINATOR_BITS = 128
+
+
+def _capped(point: Vec3) -> Vec3:
+    """``point``, or ``point`` rounded to the grid 2^-DENOMINATOR_BITS when
+    a coordinate's denominator is longer than DENOMINATOR_BITS bits."""
+    if all(c.denominator.bit_length() <= DENOMINATOR_BITS for c in point):
+        return point
+    unit = 1 << DENOMINATOR_BITS
+    return tuple(Fraction(round(c * unit), unit) for c in point)
+
+
 def _insert_refinement_vertex(link, direction, proj, target, old_badness):
     (ga, gb), t = target
     pa, pb = link.vertex(ga), link.vertex(gb)
@@ -792,9 +812,12 @@ def _insert_refinement_vertex(link, direction, proj, target, old_badness):
     pos = ga - lo
     k_before = len(proj.crossings)
     scale = Fraction(1, 4)
+    rounded = False
     for _ in range(80):
         for sign in (1, -1):
-            cand = add3(base, scale3(push, sign * scale))
+            exact = add3(base, scale3(push, sign * scale))
+            cand = _capped(exact)
+            rounded |= cand is not exact
             try:
                 new_link = deform_add_vertex(link, ci, pos, cand)
             except DeformationError:
@@ -808,4 +831,7 @@ def _insert_refinement_vertex(link, direction, proj, target, old_badness):
                 continue
             return new_link, new_proj
         scale /= 2
-    raise GeometryError(f"could not place refinement vertex on edge ({ga},{gb})")
+    raise GeometryError(
+        f"could not place refinement vertex on edge ({ga},{gb})"
+        + (f" with coordinates rounded to denominators of at most "
+           f"{DENOMINATOR_BITS} bits" if rounded else ""))

@@ -12,8 +12,22 @@ for x_minus.  Vertices of one degree i come in lexicographic word order, and
 a vertex's offset is the number of generators before it, so generator
 offset + mask sits where itertools.product((x_plus, x_minus), repeat=n) puts
 its labels.  m and Delta change the bits of the two or three circles they
-touch; the other bits move as one block.  A differential is stored by
-columns: column g maps each row of d(g) to its integer coefficient.
+touch; the other bits move as one block.
+
+Storage.  Every entry of d is an edge sign, +-1, and d^i is kept as three
+flat int arrays in column order (compressed sparse columns split by sign):
+column g holds the rows rows[ptr[g]:split[g]] with coefficient +1, then
+rows[split[g]:ptr[g+1]] with -1.  That is 4 bytes an entry and 8 a column,
+against a dict per column.  d^i is assembled one tail vertex at a time, so
+only that vertex's per-column lists exist while it is built.
+
+Gates.  Both run on the stored integers of every complex.  q-grading: the j
+of each column, repeated once per entry, must equal the j of each row.
+d^2 = 0: column g of d^(i+1) d^i sums, over its mids m and their rows r, the
+products d^i[m, g] d^(i+1)[r, m], each +-1.  So it vanishes exactly when
+the multiset P of rows reached with product +1 (the + rows of each + mid and
+the - rows of each - mid) equals the multiset N of those reached with -1,
+which two sorted lists decide without a single multiplication.
 
 Rank.  d preserves j, so each d^i splits into (i, j) blocks, and each block
 is reduced on its own with integers only.  A row is reduced at the column c
@@ -28,18 +42,22 @@ distinct leading generators Y, so C^(i,j) = im d^(i-1) + span{e_b : b not in
 Y}.  d^i vanishes on im d^(i-1): build_complex's d^2 gate has proved it for
 every complex it returns.  So the rank of block (i, j) is that of its
 columns outside Y, and degrees are reduced in increasing i, each skipping
-the leading generators of the degree before.
+the leading generators of the degree before.  In a block, the first column
+with each leading row is a pivot as it stands and stays a column index; a
+column becomes a dict only to reduce or be reduced.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
+from operator import add, and_, ne, not_, sub
 
 from .cube import Cube
 
@@ -235,26 +253,62 @@ class DegreeBasis(Sequence):
 
 
 class Differential(Mapping):
-    """d^i as a mapping (row, col) -> coefficient, stored by columns:
-    ``columns[col]`` maps each row of the image of generator col to its
-    nonzero integer coefficient."""
+    """d^i as a mapping (row, col) -> +-1, stored as sign-split compressed
+    columns (module docstring): column col holds the rows
+    ``rows[ptr[col]:split[col]]`` with +1, then ``rows[split[col]:ptr[col+1]]``
+    with -1."""
 
-    def __init__(self, columns: list[dict[int, int]]):
-        self.columns = columns
+    __slots__ = ("rows", "ptr", "split")
+
+    def __init__(self, rows: array, ptr: array, split: array):
+        self.rows, self.ptr, self.split = rows, ptr, split
+
+    @classmethod
+    def from_columns(cls, columns) -> "Differential":
+        """From one mapping row -> coefficient per column; every coefficient
+        must be +1 or -1."""
+        rows, ptr, split = array("i"), array("i", [0]), array("i")
+        for image in columns:
+            for c in image.values():
+                if c != 1 and c != -1:
+                    raise KhovanovError(
+                        f"differential entry {c} is not +1 or -1")
+            rows.extend([r for r, c in image.items() if c == 1])
+            split.append(len(rows))
+            rows.extend([r for r, c in image.items() if c == -1])
+            ptr.append(len(rows))
+        return cls(rows, ptr, split)
+
+    def per_entry(self, values):
+        """values[col] once per stored entry of column col, in storage
+        order."""
+        ptr = self.ptr
+        return chain.from_iterable(
+            map(repeat, values, map(sub, ptr[1:], ptr)))
+
+    def row_list(self) -> list[int]:
+        """``rows`` as a list with one int object per distinct row: a third
+        of ``rows.tolist()``, and dicts and list comparisons match its
+        entries by identity."""
+        ids = list(range(max(self.rows, default=-1) + 1))
+        return list(map(ids.__getitem__, self.rows))
 
     def __getitem__(self, key):
         row, col = key
-        if not 0 <= col < len(self.columns):
-            raise KeyError(key)
-        return self.columns[col][row]
+        if 0 <= col < len(self.split):
+            try:
+                at = self.rows.index(row, self.ptr[col], self.ptr[col + 1])
+            except ValueError:
+                pass
+            else:
+                return 1 if at < self.split[col] else -1
+        raise KeyError(key)
 
     def __iter__(self):
-        for col, image in enumerate(self.columns):
-            for row in image:
-                yield (row, col)
+        return zip(self.rows, self.per_entry(range(len(self.split))))
 
     def __len__(self):
-        return sum(map(len, self.columns))
+        return len(self.rows)
 
 
 @dataclass
@@ -278,8 +332,22 @@ class KhovanovComplex:
         return LaurentPoly(coeffs)
 
 
+def generator_count(cube: Cube) -> int:
+    """The size of the chain complex, sum of 2^c over the cube's vertices,
+    without building it."""
+    return sum(1 << vx.c for vx in cube.vertices.values())
+
+
 def build_complex(cube: Cube) -> KhovanovComplex:
-    """Chain spaces, gradings and signed differential from the cube."""
+    """Chain spaces, gradings and signed differential from the cube, with
+    the q-grading and d^2 gates passed."""
+    complex_ = _assemble(cube)
+    _check_q_grading(complex_.j_grading, complex_.differentials)
+    _check_d_squared(complex_.differentials)
+    return complex_
+
+
+def _assemble(cube: Cube) -> KhovanovComplex:
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
     circle_sets: dict[tuple, list[frozenset]] = {}
     for word, vx in cube.vertices.items():
@@ -288,41 +356,55 @@ def build_complex(cube: Cube) -> KhovanovComplex:
     basis: dict[int, DegreeBasis] = {}
     j_grading: dict[int, list[int]] = {}
     offset: dict[tuple, int] = {}
+    popcounts: dict[int, bytes] = {}
     for word in sorted(cube.vertices):
         r = sum(word)
         i = r - km
         n = len(circle_sets[word])
         offset[word] = basis.setdefault(i, DegreeBasis()).add_vertex(word, n)
+        if n not in popcounts:
+            popcounts[n] = bytes(mask.bit_count() for mask in range(1 << n))
+        # j of a generator with p minus labels; the generators share these
+        # int objects, where one each would cost 28 bytes outside -5..256
         top = n + r + kp - 2 * km
-        j_grading.setdefault(i, []).extend(
-            top - 2 * mask.bit_count() for mask in range(1 << n))
+        js = list(range(top, top - 2 * n - 1, -2))
+        j_grading.setdefault(i, []).extend(map(js.__getitem__, popcounts[n]))
 
-    # one shared int object per row index keeps the column dicts small
-    row_ids = {i: list(range(len(b))) for i, b in basis.items()}
-    columns = {i: [{} for _ in range(len(b))] for i, b in basis.items()}
+    # each vertex's out-edges, those of sign +1 first, so that every column
+    # lists its +1 rows before its -1 rows
+    out_edges: dict[tuple, tuple[list, list]] = {}
+    for edge in cube.edges:
+        out_edges.setdefault(edge.tail, ([], []))[edge.sign < 0].append(edge)
     # few edges differ in (kind, n, a, b, c): T(2,10) has 54 among 5120.
     # Each edge map is kept as two mask arrays, 16 bytes a pair against 64
     # for a list of (tail, head) tuples, which raised peak RSS.
     images: dict[tuple, tuple[array, array]] = {}
-    for edge in cube.edges:
-        tail_c = circle_sets[edge.tail]
-        head_c = circle_sets[edge.head]
-        i = sum(edge.tail) - km
-        if edge.kind == "merge":
-            (a, b), c = _match_merge(tail_c, head_c)
-        else:
-            c, (a, b) = _match_split(tail_c, head_c)
-        cols, rows = columns[i], row_ids[i + 1]
-        t_off, h_off, sign = offset[edge.tail], offset[edge.head], edge.sign
-        key = (edge.kind, len(tail_c), a, b, c)
-        if key not in images:
-            tails, heads = zip(*_edge_images(*key))
-            images[key] = array("l", tails), array("l", heads)
-        for t_mask, h_mask in zip(*images[key]):
-            cols[t_off + t_mask][rows[h_off + h_mask]] = sign
-    diffs = {i: Differential(cols) for i, cols in columns.items()}
-    _check_q_grading(j_grading, diffs)
-    _check_d_squared(diffs)
+    diffs: dict[int, Differential] = {}
+    for i, degree in basis.items():
+        rows = array("i")
+        sizes = ([], [])    # per column: +1 rows, all rows
+        for word in degree.words:
+            tail_c = circle_sets[word]
+            cols = [[] for _ in range(1 << len(tail_c))]
+            for edges, counts in zip(out_edges.get(word, ((), ())), sizes):
+                for edge in edges:
+                    head_c = circle_sets[edge.head]
+                    if edge.kind == "merge":
+                        (a, b), c = _match_merge(tail_c, head_c)
+                    else:
+                        c, (a, b) = _match_split(tail_c, head_c)
+                    key = (edge.kind, len(tail_c), a, b, c)
+                    if key not in images:
+                        tails, heads = zip(*_edge_images(*key))
+                        images[key] = array("l", tails), array("l", heads)
+                    tails, heads = images[key]
+                    h_off = offset[edge.head]
+                    for t, h in zip(tails, heads):
+                        cols[t].append(h_off + h)
+                counts.extend(map(len, cols))
+            rows.extend(chain.from_iterable(cols))
+        ptr = array("i", accumulate(sizes[1], initial=0))
+        diffs[i] = Differential(rows, ptr, array("i", map(add, ptr, sizes[0])))
     return KhovanovComplex(kp, km, basis, j_grading, diffs)
 
 
@@ -375,40 +457,55 @@ def _edge_images(kind: str, n: int, a: int, b: int, c: int):
 
 
 def _check_q_grading(j_grading, diffs):
+    """Every entry's row has its column's j."""
     for i, d in diffs.items():
-        j_src, j_dst = j_grading[i], j_grading.get(i + 1)
-        for col, image in enumerate(d.columns):
-            j = j_src[col]
-            for row in image:
-                if j_dst[row] != j:
-                    raise KhovanovError("differential does not preserve q-grading")
+        if d and any(map(ne, d.per_entry(j_grading[i]),
+                         map(j_grading[i + 1].__getitem__, d.rows))):
+            raise KhovanovError("differential does not preserve q-grading")
 
 
 def _check_d_squared(diffs):
-    """d^{i+1} d^i = 0, column by column; every column lies in one (i, j)
-    block, and so does its image."""
-    for i in diffs:
-        if i + 1 not in diffs:
-            continue
-        second = diffs[i + 1].columns
-        for image in diffs[i].columns:
-            acc: dict[int, int] = {}
-            for mid, c1 in image.items():
-                for row, c2 in second[mid].items():
-                    acc[row] = acc.get(row, 0) + c1 * c2
-            if any(acc.values()):
-                raise KhovanovError(f"d^2 != 0 between columns {i} and {i + 2}")
+    """d^{i+1} d^i = 0, column by column, as equal multisets of the rows
+    reached with product +1 and with -1 (module docstring)."""
+    for i, d in diffs.items():
+        if i + 1 in diffs and d and not _squares_to_zero(d, diffs[i + 1]):
+            raise KhovanovError(f"d^2 != 0 between columns {i} and {i + 2}")
+
+
+def _squares_to_zero(d: Differential, second: Differential) -> bool:
+    rows2 = second.row_list()
+    ptr2, split2 = second.ptr.tolist(), second.split.tolist()
+    end2 = ptr2[1:]
+    rows = d.rows
+    for a, s, b in zip(d.ptr, d.split, d.ptr[1:]):
+        pos, neg = [], []
+        for mid in rows[a:s]:
+            pos += rows2[ptr2[mid]:split2[mid]]
+            neg += rows2[split2[mid]:end2[mid]]
+        for mid in rows[s:b]:
+            pos += rows2[split2[mid]:end2[mid]]
+            neg += rows2[ptr2[mid]:split2[mid]]
+        pos.sort()
+        neg.sort()
+        if pos != neg:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # homology
 
 
-def _pivots(rows) -> dict[int, dict[int, int]]:
+def _pivots(rows, pivots=None, expand=None) -> dict[int, dict[int, int] | int]:
     """Pivot rows of integer rows (dicts col -> nonzero int), which it
     consumes, keyed by their leading (lowest) column; there are as many as
-    the rank over Q.  Fraction-free elimination: see the module docstring."""
-    pivots: dict[int, dict[int, int]] = {}
+    the rank over Q.  Fraction-free elimination: see the module docstring.
+
+    ``pivots`` is an initial pivot map to extend, whose entries may be int
+    handles for the rows expand(handle); a handle is expanded only when its
+    row reduces another."""
+    if pivots is None:
+        pivots = {}
     for row in rows:
         while row:
             col = min(row)
@@ -416,6 +513,8 @@ def _pivots(rows) -> dict[int, dict[int, int]]:
             if piv is None:
                 pivots[col] = row
                 break
+            if type(piv) is int:
+                piv = pivots[col] = expand(piv)
             a, b = piv[col], row[col]
             if a != 1 and a != -1 and (b == 1 or b == -1):
                 # keep the unit entry as the pivot, reduce the old pivot row
@@ -460,21 +559,42 @@ def homology(complex_: KhovanovComplex) -> dict[tuple[int, int], int]:
     # (i, j) skips by the complement rule (module docstring)
     leading: dict[int, bytearray] = {}
     for i in sorted(complex_.differentials):
-        columns = complex_.differentials[i].columns
+        d = complex_.differentials[i]
+        rows, ptr, split = d.row_list(), d.ptr.tolist(), d.split.tolist()
         j_src = complex_.j_grading[i]
-        skip = leading.pop(i, None) or bytearray(len(columns))
-        blocks: dict[int, list[dict[int, int]]] = {}
-        for col, image in enumerate(columns):
-            if image and not skip[col]:
-                blocks.setdefault(j_src[col], []).append(image)
+        skip = leading.pop(i, None) or bytearray(len(split))
+        ends = ptr[1:]
+        # the columns with entries, outside the skipped generators
+        kept = compress(range(len(split)), map(
+            and_, map(ne, ptr, ends), map(not_, skip)))
         size = len(complex_.j_grading.get(i + 1, ()))
         lead = leading[i + 1] = bytearray(size)
-        for j, block in blocks.items():
-            pivots = _pivots(dict(image) for image in block)
+
+        def image(col):
+            out = dict.fromkeys(rows[ptr[col]:split[col]], 1)
+            for row in rows[split[col]:ends[col]]:
+                out[row] = -1
+            return out
+
+        # per j, the first column with each leading (lowest) row is a pivot
+        # as it stands; only the others are reduced, and only the pivots
+        # they meet are expanded into dicts
+        blocks: dict[int, tuple[dict, list[int]]] = defaultdict(
+            lambda: ({}, []))
+        for col in kept:
+            first, rest = blocks[j_src[col]]
+            row = min(rows[ptr[col]:ends[col]])
+            if row in first:
+                rest.append(col)
+            else:
+                first[row] = col
+        while blocks:
+            j, (pivots, rest) = blocks.popitem()
+            _pivots(map(image, rest), pivots, image)
             ranks[(i, j)] = len(pivots)
             for row in pivots:
                 lead[row] = 1
-            del pivots      # before the next block's pivots are built
+            del pivots      # before the next block's pivots are expanded
 
     for i, js in complex_.j_grading.items():
         count: dict[int, int] = {}

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from polykh import (PolygonalLink, validate_link, load_fixture,
+from polykh import (PolygonalLink, LinkFileError, validate_link, load_fixture,
                     build_good_diagram, build_cube)
 from polykh import randlinks
 
@@ -26,6 +26,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 DIR_Z = (F(0), F(0), F(1))
+
+# the tokens of the link and diagram formats, some malformed, with free text
+TOKENS = st.sampled_from(["component", "vertex", "crossing", "boundaries",
+                          "#", "0", "1", "-1", "+1", "2", "3", "9", "-8/11",
+                          "1/2", "3/", "1/0", "0.5", "nan", "x"]) | st.text(
+                              max_size=3)
+TEXTS = st.lists(st.lists(TOKENS, max_size=10).map(" ".join),
+                 max_size=6).map("\n".join)
+
+
+def parses_or_rejects(parse, text):
+    """``parse(text)`` returns, or raises LinkFileError and nothing else."""
+    try:
+        parse(text)
+    except LinkFileError:
+        pass
 
 
 @pytest.fixture(scope="session")

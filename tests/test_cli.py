@@ -1,21 +1,25 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import polykh.cli
+import polykh.geometry
 import polykh.khovanov
 from polykh.cli import main, parse_diagram, dump_diagram
 from polykh import (fixture_path, load_fixture, build_good_diagram, parse_link,
                     LinkFileError, PolygonalLink)
 
-from conftest import DIR_Z
+from conftest import DIR_Z, TEXTS, TOKENS, parses_or_rejects
 
 TREFOIL = str(fixture_path("trefoil9"))
 SQUARE = str(fixture_path("square"))
 GOLDEN = Path(__file__).parent / "golden"
+TREFOIL_DUMP = dump_diagram(build_good_diagram(load_fixture("trefoil9"), DIR_Z))
 
 
 def run(capsys, *argv):
@@ -96,13 +100,76 @@ class TestDiagram:
                         for x in lines], "line 12: crossing 1: .* successor"),
         (lambda lines: [x.replace("crossing 3 9 1 5 6 +1", "crossing 3 9 1 5 6 -1")
                         for x in lines], "line 14: crossing 3: sign -1"),
+        (lambda lines: lines + lines[-1:],
+         "line 15: crossing 3: expected index 4"),
+        (lambda lines: [x.replace("crossing 3 9 1", "crossing 7 9 1")
+                        for x in lines], "line 14: crossing 7: expected index 3"),
+        (lambda lines: lines[:11] + ["crossing 1 6 7 2 3 +1 0 1",
+                                     "crossing 2 3 4 8 9 +1 -8/11 -7/11"]
+         + lines[13:],
+         "line 13: crossing 2: overcrossing edge \\(3,4\\) comes before"),
+        (lambda lines: [x.replace("crossing 3 9 1 5 6", "crossing 3 9 1 2 3")
+                        for x in lines],
+         "line 14: crossing 3: edge \\(2,3\\) already carries crossing 2"),
+        (lambda lines: [x.replace("crossing 2 6 7 2 3", "crossing 2 6 7 3 4")
+                        for x in lines],
+         "line 13: crossing 2: edge \\(3,4\\) already carries crossing 1"),
+        (lambda lines: [x.replace("crossing 1 3 4 8 9", "crossing 1 1 2 2 3")
+                        for x in lines],
+         "line 12: crossing 1: edges \\(1,2\\) and \\(2,3\\) share a vertex"),
     ])
     def test_inconsistent_diagram_rejected(self, mutate, message):
-        text = dump_diagram(build_good_diagram(load_fixture("trefoil9"), DIR_Z))
+        text = TREFOIL_DUMP
         lines = text.splitlines()
         assert parse_diagram(text) is not None
         with pytest.raises(LinkFileError, match=message):
             parse_diagram("\n".join(mutate(lines)) + "\n")
+
+    @given(TEXTS)
+    def test_parse_fuzz(self, text):
+        parses_or_rejects(parse_diagram, text)
+
+    @given(st.data())
+    def test_parse_mutated_dump_fuzz(self, data):
+        # a few line edits of the trefoil's dump: deleted, repeated, swapped
+        # or retyped lines and tokens
+        lines = TREFOIL_DUMP.splitlines()
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            edit = data.draw(st.sampled_from(
+                ("delete", "repeat", "swap", "token")))
+            if edit == "delete":
+                del lines[at]
+            elif edit == "repeat":
+                lines.insert(at, lines[at])
+            elif edit == "swap":
+                other = data.draw(st.integers(0, len(lines) - 1))
+                lines[at], lines[other] = lines[other], lines[at]
+            else:
+                fields = lines[at].split() or [""]
+                fields[data.draw(st.integers(0, len(fields) - 1))] = \
+                    data.draw(TOKENS)
+                lines[at] = " ".join(fields)
+            if not lines:
+                break
+        parses_or_rejects(parse_diagram, "\n".join(lines))
+
+    def test_twist12_default_direction_terminates(self, capsys):
+        # along the default direction (-1,-3,2) exact refinement doubled its
+        # denominators' length with each insertion and ran for minutes; with
+        # the cap it takes about ten seconds
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "diagram", str(fixture_path("twist12")))
+        assert code == 0 and len(out.splitlines()) == 58
+        assert time.perf_counter() - start < 60
+
+    def test_refinement_failure_exits_1(self, capsys, monkeypatch):
+        # on a grid of halves no candidate vertex of twist12 passes the checks
+        monkeypatch.setattr(polykh.geometry, "DENOMINATOR_BITS", 1)
+        code, _, err = run(capsys, "diagram", str(fixture_path("twist12")))
+        assert code == 1
+        assert "could not place refinement vertex" in err
+        assert "rounded to denominators of at most 1 bits" in err
 
     def test_bad_direction(self, capsys):
         code, _, err = run(capsys, "diagram", TREFOIL, "--dir", "0,0")
@@ -150,6 +217,18 @@ class TestPolynomials:
         code, out, _ = run(capsys, "homology", SQUARE, "--dir", "0,0,1")
         assert code == 0
         assert out == "0\t-1\t1\n0\t1\t1\n"
+
+    @pytest.mark.parametrize("command", ["homology", "verify"])
+    def test_generator_budget(self, capsys, command):
+        # the trefoil's complex has 4 + 6 + 12 + 8 = 30 generators
+        code, _, err = run(capsys, command, TREFOIL, "--dir", "0,0,1",
+                           "--max-generators", "29")
+        assert code == 1
+        assert "30 generators" in err and "budget of 29" in err
+        code, _, _ = run(capsys, command, TREFOIL, "--dir", "0,0,1",
+                         "--max-generators", "30", *(
+                             ("--trials", "1") if command == "verify" else ()))
+        assert code == 0
 
     def test_homology_json(self, capsys):
         code, out, _ = run(capsys, "homology", SQUARE, "--dir", "0,0,1",

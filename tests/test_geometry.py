@@ -15,7 +15,7 @@ from polykh.geometry import (GeometryError, DeformationError,
                              refine_to_good, is_good_projection, project_link,
                              triangle_obstruction, deform_add_vertex,
                              deform_remove_vertex, dot3, cross3, sub3,
-                             point_on_seg2)
+                             point_on_seg2, DENOMINATOR_BITS, _capped)
 from polykh import load_fixture, build_good_diagram
 
 from conftest import DIR_Z, random_link
@@ -385,6 +385,16 @@ class TestRefinement:
                 for e in ((cr.i, cr.j), (cr.v, cr.w)):
                     per_edge[e] = per_edge.get(e, 0) + 1
             assert all(c <= 1 for c in per_edge.values())
+
+    def test_long_denominators_rounded_to_grid(self):
+        short = (F(1, 3), F(-7, 2 ** (DENOMINATOR_BITS - 1)), F(5))
+        assert _capped(short) is short
+        long = (F(1, 3 ** 90), F(2, 3), F(-1, 3 ** 81))
+        rounded = _capped(long)
+        assert all((1 << DENOMINATOR_BITS) % c.denominator == 0
+                   for c in rounded)
+        assert all(abs(r - c) <= F(1, 2 ** (DENOMINATOR_BITS + 1))
+                   for r, c in zip(rounded, long))
 
 
 class TestDeformation:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 from math import lcm
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,7 @@ from polykh.khovanov import (KhovanovError, LaurentPoly, jones_state_sum,
                              normalized_jones, build_complex, homology,
                              khovanov_homology, euler_characteristic,
                              homology_tsv, Differential, _check_d_squared,
-                             _pivots)
+                             _check_q_grading, _pivots)
 from polykh import build_good_diagram, build_cube, load_fixture
 
 from conftest import DIR_Z, random_diagram, torus_table, twist_link
@@ -112,17 +113,74 @@ class TestComplex:
             assert {i: dict(d) for i, d in cx.differentials.items() if d} \
                 == diffs
 
+    def test_from_columns_round_trip(self, trefoil_cube):
+        cx = build_complex(trefoil_cube)
+        for i, d in cx.differentials.items():
+            columns = _columns(d, len(cx.basis[i]))
+            again = Differential.from_columns(columns)
+            assert again == d and _columns(again, len(columns)) == columns
+
     def test_d_squared_rejects_tampering(self, trefoil_cube):
+        # one sign flipped
         cx = build_complex(trefoil_cube)
         diffs = dict(cx.differentials)
-        columns = [dict(image) for image in diffs[0].columns]
+        columns = _columns(diffs[0], len(cx.basis[0]))
         image = next(image for image in columns if image)
         row = next(iter(image))
         image[row] = -image[row]
         _check_d_squared(diffs)
-        diffs[0] = Differential(columns)
+        diffs[0] = Differential.from_columns(columns)
+        _check_q_grading(cx.j_grading, diffs)
         with pytest.raises(KhovanovError, match="d\\^2"):
             _check_d_squared(diffs)
+
+    def test_d_squared_rejects_moved_row(self, trefoil_cube):
+        # one entry moved to another generator of the same q-degree: the
+        # q-grading gate passes it, the d^2 gate must not
+        cx = build_complex(trefoil_cube)
+        diffs = dict(cx.differentials)
+        columns = {i: _columns(d, len(cx.basis[i])) for i, d in diffs.items()}
+        i, col, row, other = next(
+            (i, col, row, other) for i in cx.degrees[:-1]
+            for col, image in enumerate(columns[i]) for row in image
+            for other, j in enumerate(cx.j_grading[i + 1])
+            if other not in image and j == cx.j_grading[i + 1][row]
+            and columns[i + 1][other] != columns[i + 1][row])
+        columns[i][col][other] = columns[i][col].pop(row)
+        diffs[i] = Differential.from_columns(columns[i])
+        _check_q_grading(cx.j_grading, diffs)
+        with pytest.raises(KhovanovError, match="d\\^2"):
+            _check_d_squared(diffs)
+
+    def test_entries_other_than_unit_rejected(self, trefoil_cube):
+        cx = build_complex(trefoil_cube)
+        columns = _columns(cx.differentials[0], len(cx.basis[0]))
+        image = next(image for image in columns if image)
+        image[next(iter(image))] = 2
+        with pytest.raises(KhovanovError, match="entry 2 is not"):
+            Differential.from_columns(columns)
+
+    def test_build_memory_per_generator(self):
+        # the compact storage costs about 130 bytes a generator at peak on
+        # T(2,8), a dict per column about 390
+        cube = build_cube(build_good_diagram(twist_link(8, 1), DIR_Z))
+        tracemalloc.start()
+        try:
+            cx = build_complex(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        generators = sum(len(b) for b in cx.basis.values())
+        assert peak / generators < 200
+
+
+def _columns(d, size):
+    """The columns of a differential as row -> coefficient dicts, read
+    through its Mapping interface."""
+    columns = [{} for _ in range(size)]
+    for row, col in d:
+        columns[col][row] = d[(row, col)]
+    return columns
 
 
 def _label_complex(cube):
@@ -220,8 +278,19 @@ class TestRank:
         # the complement rule in homology reads each key as the lowest
         # column of its pivot
         rows = [{c: v for c, v in row.items() if v} for row in rows]
-        for col, piv in _pivots(dict(row) for row in rows).items():
+        pivots = _pivots(dict(row) for row in rows)
+        for col, piv in pivots.items():
             assert piv and min(piv) == col
+        # seeded with the first row of each leading column as a handle,
+        # expanded on demand, the elimination finds the same leading columns
+        first = {}
+        for h, row in enumerate(rows):
+            if row:
+                first.setdefault(min(row), h)
+        rest = [dict(row) for h, row in enumerate(rows)
+                if row and first[min(row)] != h]
+        lazy = _pivots(rest, first, lambda h: dict(rows[h]))
+        assert lazy.keys() == pivots.keys()
 
     @given(st.lists(st.dictionaries(st.integers(0, 4),
                                     st.fractions(min_value=-3, max_value=3,
@@ -296,7 +365,7 @@ def _full_rank_homology(cx):
     ranks = {}
     for i, d in cx.differentials.items():
         blocks = {}
-        for col, image in enumerate(d.columns):
+        for col, image in enumerate(_columns(d, len(cx.basis[i]))):
             blocks.setdefault(cx.j_grading[i][col], []).append(image)
         for j, block in blocks.items():
             ranks[(i, j)] = _sparse_rank(block)

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from polykh import (PolygonalLink, LinkFileError, parse_link, dump_link,
                     load_link, fixture_path, load_fixture)
 
+from conftest import TEXTS, parses_or_rejects
+
 frac = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
@@ -26,6 +28,11 @@ def test_parse_errors_carry_line_numbers():
         parse_link("component 3/ 0 0 1 0 0 1 1 0\n")  # malformed rational
     with pytest.raises(LinkFileError):
         parse_link("# nothing here\n")              # no components
+
+
+@given(TEXTS)
+def test_parse_link_fuzz(text):
+    parses_or_rejects(parse_link, text)
 
 
 @given(st.lists(st.lists(st.tuples(frac, frac, frac), min_size=3, max_size=6),
