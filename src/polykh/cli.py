@@ -16,7 +16,8 @@ from fractions import Fraction
 from .geometry import (GeometryError, PolygonalLink,
                        validate_link, find_regular_direction, refine_to_good,
                        deform_add_vertex, deform_remove_vertex)
-from .linkfile import LinkFileError, parse_link, load_link, dump_link
+from .linkfile import (LinkFileError, parse_link, parse_rational, load_link,
+                       dump_link)
 from .diagram import (DiagramError, GoodDiagram, CrossingRecord,
                       build_good_diagram, good_diagram_auto, crossing_sign)
 from .cube import Cube, CubeError, build_cube
@@ -30,17 +31,18 @@ from .perm import PermError
 DOMAIN_ERRORS = (GeometryError, DiagramError, CubeError, KhovanovError,
                  MoveError, PermError)
 
-# Building and ranking the complex peaks at about 190 bytes of RSS per
-# generator (twist12: 99 MB for 531,444; T(2,14): 687 MB for 4,782,972),
-# so 10M generators take about 2 GB.
+# Building and ranking the complex peaks at about 60 bytes of RSS per
+# generator at scale (T(2,14): 272 MB for 4,782,972; twist12: 60 MB for
+# 531,444, a third of it the interpreter and the cube), so 10M generators
+# take about 600 MB.
 DEFAULT_MAX_GENERATORS = 10_000_000
 
 
 def _parse_direction(text: str):
     try:
-        parts = [Fraction(tok) for tok in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise LinkFileError(f"bad direction {text!r}: expected dx,dy,dz")
+        parts = [parse_rational(tok) for tok in text.split(",")]
+    except LinkFileError as exc:
+        raise LinkFileError(f"bad direction {text!r}: {exc}") from None
     if len(parts) != 3:
         raise LinkFileError(f"bad direction {text!r}: expected three components")
     return tuple(parts)
@@ -99,15 +101,16 @@ def parse_diagram(text: str) -> GoodDiagram:
                 boundaries = tuple(int(x) for x in fields[1:])
                 boundaries_line = lineno
             elif fields[0] == "vertex":
-                vertices.append((Fraction(fields[1]), Fraction(fields[2])))
+                vertices.append((parse_rational(fields[1]),
+                                 parse_rational(fields[2])))
             elif fields[0] == "crossing":
                 idx, i, j, v, w, sign = (int(x) for x in fields[1:7])
-                point = (Fraction(fields[7]), Fraction(fields[8]))
+                point = (parse_rational(fields[7]), parse_rational(fields[8]))
                 crossings.append(CrossingRecord(idx, i, j, v, w, sign, point))
                 crossing_lines.append(lineno)
             else:
-                raise LinkFileError(f"line {lineno}: unknown record {fields[0]!r}")
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+                raise LinkFileError(f"unknown record {fields[0]!r}")
+        except (ValueError, IndexError) as exc:     # LinkFileError included
             raise LinkFileError(f"line {lineno}: {exc}") from None
     if boundaries is None:
         raise LinkFileError("missing boundaries record")
@@ -273,7 +276,7 @@ def cmd_deform(args) -> int:
             print("error: --add expects ci,pos,x,y,z", file=sys.stderr)
             return 2
         ci, pos = int(fields[0]), int(fields[1])
-        point = tuple(Fraction(tok) for tok in fields[2:])
+        point = tuple(map(parse_rational, fields[2:]))
         link2 = deform_add_vertex(link, ci, pos, point)
         print(f"added vertex at component {ci} position {pos}")
     else:

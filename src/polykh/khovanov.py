@@ -14,20 +14,22 @@ offset + mask sits where itertools.product((x_plus, x_minus), repeat=n) puts
 its labels.  m and Delta change the bits of the two or three circles they
 touch; the other bits move as one block.
 
-Storage.  Every entry of d is an edge sign, +-1, and d^i is kept as three
-flat int arrays in column order (compressed sparse columns split by sign):
-column g holds the rows rows[ptr[g]:split[g]] with coefficient +1, then
-rows[split[g]:ptr[g+1]] with -1.  That is 4 bytes an entry and 8 a column,
-against a dict per column.  d^i is assembled one tail vertex at a time, so
-only that vertex's per-column lists exist while it is built.
+Storage.  d^i is one block per cube edge, each entry the edge's sign.  A
+block's pattern depends only on (kind, n, a, b, c), and T(2,10) has 54 such
+edge maps among 5120 edges, so each is one table, table[t] the sorted head
+masks of tail mask t.  A tail vertex lists its out-edges as (head offset,
+sign, table index) by head offset.  Nothing is stored per column or entry.
 
-Gates.  Both run on the stored integers of every complex.  q-grading: the j
-of each column, repeated once per entry, must equal the j of each row.
-d^2 = 0: column g of d^(i+1) d^i sums, over its mids m and their rows r, the
-products d^i[m, g] d^(i+1)[r, m], each +-1.  So it vanishes exactly when
-the multiset P of rows reached with product +1 (the + rows of each + mid and
-the - rows of each - mid) equals the multiset N of those reached with -1,
-which two sorted lists decide without a single multiplication.
+Gates.  Both run on the stored blocks of every complex.  Shape and q, once
+per distinct (table, n_v, n_w, top_v - top_w), top the j of mask 0: signs
+are +-1, the table has 2^n_v rows of increasing head masks below 2^n_w, and
+top_v - 2 popcount(t) = top_w - 2 popcount(h) for each entry (t, h).  d^2:
+the blocks of distinct (v, w), w two degrees above v, have disjoint
+supports, so d^2 = 0 exactly when the signed composites of the paths
+v -> u -> w sum to zero for each (v, w).  The sum is fixed by the square
+type, the multiset of (s1 s2, table 1, table 2) over the paths (T(2,10): 274
+types among 11,520 squares), and each type is checked once per build_complex
+by comparing the sorted entries of its + and - composites.
 
 Rank.  d preserves j, so each d^i splits into (i, j) blocks, and each block
 is reduced on its own with integers only.  A row is reduced at the column c
@@ -49,15 +51,14 @@ column becomes a dict only to reduce or be reduced.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd
-from operator import add, and_, ne, not_, sub
+from operator import and_, eq, ge, ne, sub
 
 from .cube import Cube
 
@@ -232,6 +233,7 @@ class DegreeBasis(Sequence):
     def __init__(self):
         self.words: list[tuple[int, ...]] = []
         self.offsets: list[int] = []
+        self.circles: list[int] = []
         self.size = 0
 
     def add_vertex(self, word: tuple[int, ...], n_circles: int) -> int:
@@ -239,6 +241,7 @@ class DegreeBasis(Sequence):
         offset = self.size
         self.words.append(word)
         self.offsets.append(offset)
+        self.circles.append(n_circles)
         self.size += 1 << n_circles
         return offset
 
@@ -253,62 +256,38 @@ class DegreeBasis(Sequence):
 
 
 class Differential(Mapping):
-    """d^i as a mapping (row, col) -> +-1, stored as sign-split compressed
-    columns (module docstring): column col holds the rows
-    ``rows[ptr[col]:split[col]]`` with +1, then ``rows[split[col]:ptr[col+1]]``
-    with -1."""
+    """d^i as a mapping (row, col) -> +-1, kept as edge blocks (module
+    docstring): edge (h_off, sign, tix) in ``edges[v]`` sends column
+    ``basis.offsets[v] + t`` to rows h_off + h, h in tables[tix][t]."""
 
-    __slots__ = ("rows", "ptr", "split")
+    __slots__ = ("basis", "edges", "tables")
 
-    def __init__(self, rows: array, ptr: array, split: array):
-        self.rows, self.ptr, self.split = rows, ptr, split
+    def __init__(self, basis: DegreeBasis, edges: list[tuple], tables: list):
+        self.basis, self.edges, self.tables = basis, edges, tables
 
-    @classmethod
-    def from_columns(cls, columns) -> "Differential":
-        """From one mapping row -> coefficient per column; every coefficient
-        must be +1 or -1."""
-        rows, ptr, split = array("i"), array("i", [0]), array("i")
-        for image in columns:
-            for c in image.values():
-                if c != 1 and c != -1:
-                    raise KhovanovError(
-                        f"differential entry {c} is not +1 or -1")
-            rows.extend([r for r, c in image.items() if c == 1])
-            split.append(len(rows))
-            rows.extend([r for r, c in image.items() if c == -1])
-            ptr.append(len(rows))
-        return cls(rows, ptr, split)
-
-    def per_entry(self, values):
-        """values[col] once per stored entry of column col, in storage
-        order."""
-        ptr = self.ptr
-        return chain.from_iterable(
-            map(repeat, values, map(sub, ptr[1:], ptr)))
-
-    def row_list(self) -> list[int]:
-        """``rows`` as a list with one int object per distinct row: a third
-        of ``rows.tolist()``, and dicts and list comparisons match its
-        entries by identity."""
-        ids = list(range(max(self.rows, default=-1) + 1))
-        return list(map(ids.__getitem__, self.rows))
+    def column(self, col: int) -> dict[int, int]:
+        """Column col as a dict row -> +-1, from its tail vertex's edges."""
+        v = bisect_right(self.basis.offsets, col) - 1
+        t = col - self.basis.offsets[v]
+        return {h_off + h: sign for h_off, sign, tix in self.edges[v]
+                for h in self.tables[tix][t]}
 
     def __getitem__(self, key):
         row, col = key
-        if 0 <= col < len(self.split):
-            try:
-                at = self.rows.index(row, self.ptr[col], self.ptr[col + 1])
-            except ValueError:
-                pass
-            else:
-                return 1 if at < self.split[col] else -1
+        if 0 <= col < len(self.basis) and row in (column := self.column(col)):
+            return column[row]
         raise KeyError(key)
 
     def __iter__(self):
-        return zip(self.rows, self.per_entry(range(len(self.split))))
+        return ((h_off + h, off + t)
+                for off, edges in zip(self.basis.offsets, self.edges)
+                for h_off, _sign, tix in edges
+                for t, heads in enumerate(self.tables[tix]) for h in heads)
 
     def __len__(self):
-        return len(self.rows)
+        uses = Counter(tix for edges in self.edges for _, _, tix in edges)
+        return sum(count * sum(map(len, self.tables[tix]))
+                   for tix, count in uses.items())
 
 
 @dataclass
@@ -342,16 +321,16 @@ def build_complex(cube: Cube) -> KhovanovComplex:
     """Chain spaces, gradings and signed differential from the cube, with
     the q-grading and d^2 gates passed."""
     complex_ = _assemble(cube)
-    _check_q_grading(complex_.j_grading, complex_.differentials)
-    _check_d_squared(complex_.differentials)
+    _check_q_grading(complex_)
+    _check_d_squared(complex_)
     return complex_
 
 
 def _assemble(cube: Cube) -> KhovanovComplex:
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
-    circle_sets: dict[tuple, list[frozenset]] = {}
-    for word, vx in cube.vertices.items():
-        circle_sets[word] = [frozenset(g.cycle) for g in vx.groups]
+    # each vertex's circles as a dict circle -> index, in circle order
+    circles = {word: {frozenset(g.cycle): ix for ix, g in enumerate(vx.groups)}
+               for word, vx in cube.vertices.items()}
 
     basis: dict[int, DegreeBasis] = {}
     j_grading: dict[int, list[int]] = {}
@@ -360,7 +339,7 @@ def _assemble(cube: Cube) -> KhovanovComplex:
     for word in sorted(cube.vertices):
         r = sum(word)
         i = r - km
-        n = len(circle_sets[word])
+        n = len(circles[word])
         offset[word] = basis.setdefault(i, DegreeBasis()).add_vertex(word, n)
         if n not in popcounts:
             popcounts[n] = bytes(mask.bit_count() for mask in range(1 << n))
@@ -370,58 +349,43 @@ def _assemble(cube: Cube) -> KhovanovComplex:
         js = list(range(top, top - 2 * n - 1, -2))
         j_grading.setdefault(i, []).extend(map(js.__getitem__, popcounts[n]))
 
-    # each vertex's out-edges, those of sign +1 first, so that every column
-    # lists its +1 rows before its -1 rows
-    out_edges: dict[tuple, tuple[list, list]] = {}
+    # few edges differ in (kind, n, a, b, c): T(2,10) has 54 among 5120,
+    # and all edges with one key share one table
+    tables: list[tuple[tuple[int, ...], ...]] = []
+    table_of: dict[tuple, int] = {}
+    out_edges: dict[tuple, list] = defaultdict(list)
     for edge in cube.edges:
-        out_edges.setdefault(edge.tail, ([], []))[edge.sign < 0].append(edge)
-    # few edges differ in (kind, n, a, b, c): T(2,10) has 54 among 5120.
-    # Each edge map is kept as two mask arrays, 16 bytes a pair against 64
-    # for a list of (tail, head) tuples, which raised peak RSS.
-    images: dict[tuple, tuple[array, array]] = {}
-    diffs: dict[int, Differential] = {}
-    for i, degree in basis.items():
-        rows = array("i")
-        sizes = ([], [])    # per column: +1 rows, all rows
-        for word in degree.words:
-            tail_c = circle_sets[word]
-            cols = [[] for _ in range(1 << len(tail_c))]
-            for edges, counts in zip(out_edges.get(word, ((), ())), sizes):
-                for edge in edges:
-                    head_c = circle_sets[edge.head]
-                    if edge.kind == "merge":
-                        (a, b), c = _match_merge(tail_c, head_c)
-                    else:
-                        c, (a, b) = _match_split(tail_c, head_c)
-                    key = (edge.kind, len(tail_c), a, b, c)
-                    if key not in images:
-                        tails, heads = zip(*_edge_images(*key))
-                        images[key] = array("l", tails), array("l", heads)
-                    tails, heads = images[key]
-                    h_off = offset[edge.head]
-                    for t, h in zip(tails, heads):
-                        cols[t].append(h_off + h)
-                counts.extend(map(len, cols))
-            rows.extend(chain.from_iterable(cols))
-        ptr = array("i", accumulate(sizes[1], initial=0))
-        diffs[i] = Differential(rows, ptr, array("i", map(add, ptr, sizes[0])))
+        tail_c, head_c = circles[edge.tail], circles[edge.head]
+        (a, b), c = (_match(tail_c, head_c) if edge.kind == "merge"
+                     else _match(head_c, tail_c))
+        key = (edge.kind, len(tail_c), a, b, c)
+        if key not in table_of:
+            table_of[key] = len(tables)
+            rows: list[list[int]] = [[] for _ in range(1 << len(tail_c))]
+            for t, h in _edge_images(*key):
+                rows[t].append(h)
+            # from a list: regrowing tuple(map(...)) fragmented the heap
+            tables.append(tuple([tuple(sorted(row)) for row in rows]))
+        out_edges[edge.tail].append(
+            (offset[edge.head], edge.sign, table_of[key]))
+    diffs = {i: Differential(
+        degree, [tuple(sorted(out_edges[w])) for w in degree.words], tables)
+        for i, degree in basis.items()}
     return KhovanovComplex(kp, km, basis, j_grading, diffs)
 
 
-def _match_merge(tail_c, head_c):
-    tail_set, head_set = set(tail_c), set(head_c)
-    changed_t = [ix for ix, s in enumerate(tail_c) if s not in head_set]
-    changed_h = [ix for ix, s in enumerate(head_c) if s not in tail_set]
-    if len(changed_t) != 2 or len(changed_h) != 1:
-        raise KhovanovError("merge edge does not merge exactly two circles")
-    if tail_c[changed_t[0]] | tail_c[changed_t[1]] != head_c[changed_h[0]]:
+def _match(two, one):
+    """((a, b), c): circles a < b of ``two`` are circle c of ``one``, and
+    every other circle is in both (each a dict circle -> index)."""
+    gone = [(ix, s) for s, ix in two.items() if s not in one]
+    new = [(ix, s) for s, ix in one.items() if s not in two]
+    if len(gone) != 2 or len(new) != 1:
+        raise KhovanovError("edge does not merge or split exactly two circles")
+    (a, circle_a), (b, circle_b) = gone
+    (c, circle_c), = new
+    if circle_a | circle_b != circle_c:
         raise KhovanovError("merged circle membership mismatch")
-    return (changed_t[0], changed_t[1]), changed_h[0]
-
-
-def _match_split(tail_c, head_c):
-    (a, b), c = _match_merge(head_c, tail_c)
-    return c, (a, b)
+    return (a, b), c
 
 
 def _insert_zero(x: int, pos: int) -> int:
@@ -456,40 +420,81 @@ def _edge_images(kind: str, n: int, a: int, b: int, c: int):
     return out
 
 
-def _check_q_grading(j_grading, diffs):
-    """Every entry's row has its column's j."""
+def _check_q_grading(complex_: KhovanovComplex) -> None:
+    """The shape and q gate of the module docstring: signs, head offsets,
+    and each distinct (table, n_v, n_w, top_v - top_w) once."""
+    basis, js = complex_.basis, complex_.j_grading
+    checked: set[tuple] = set()
+    for i, d in complex_.differentials.items():
+        heads = basis[i + 1].offsets if i + 1 in basis else []
+        for off, n, edges in zip(d.basis.offsets, d.basis.circles, d.edges):
+            w = -1
+            for h_off, sign, tix in edges:
+                if sign != 1 and sign != -1:
+                    raise KhovanovError(f"edge sign {sign} is not +1 or -1")
+                w = bisect_left(heads, h_off, w + 1)
+                if heads[w:w + 1] != [h_off]:
+                    raise KhovanovError(f"edge head {h_off} of degree {i} is "
+                                        f"not a later vertex offset")
+                key = (tix, n, basis[i + 1].circles[w],
+                       js[i][off] - js[i + 1][h_off])
+                if key not in checked:
+                    _check_table(d.tables[tix], *key[1:])
+                    checked.add(key)
+
+
+def _check_table(table, n_tail: int, n_head: int, top_gap: int) -> None:
+    """2^n_tail rows of increasing head masks below 2^n_head, and each entry
+    (t, h) keeps j: top_gap = top_v - top_w = 2 popcount(t) - 2 popcount(h)."""
+    heads = list(chain.from_iterable(table))
+    tails = list(chain.from_iterable(
+        map(repeat, range(len(table)), map(len, table))))
+    if len(table) != 1 << n_tail or heads and (
+            min(heads) < 0 or max(heads) >> n_head) or any(map(
+            and_, map(eq, tails, tails[1:]), map(ge, heads, heads[1:]))):
+        raise KhovanovError(f"edge table is not 2^{n_tail} rows of increasing "
+                            f"head masks below 2^{n_head}")
+    if top_gap % 2 or any(map(ne, map(sub, map(int.bit_count, tails),
+                                       map(int.bit_count, heads)),
+                              repeat(top_gap // 2))):
+        raise KhovanovError("differential does not preserve q-grading")
+
+
+def _check_d_squared(complex_: KhovanovComplex) -> None:
+    """d^{i+1} d^i = 0, one square type at a time (module docstring)."""
+    basis, diffs = complex_.basis, complex_.differentials
+    cancelling: set[tuple] = set()      # square types checked in this call
     for i, d in diffs.items():
-        if d and any(map(ne, d.per_entry(j_grading[i]),
-                         map(j_grading[i + 1].__getitem__, d.rows))):
-            raise KhovanovError("differential does not preserve q-grading")
+        if i + 1 not in diffs:
+            continue
+        mid = dict(zip(basis[i + 1].offsets, diffs[i + 1].edges))
+        for v, edges in enumerate(d.edges):
+            squares: dict[int, list] = defaultdict(list)
+            for u_off, s1, t1 in edges:
+                for w_off, s2, t2 in mid[u_off]:
+                    squares[w_off].append((s1 * s2, t1, t2))
+            for w_off, paths in squares.items():
+                paths = tuple(sorted(paths))
+                if paths in cancelling:
+                    continue
+                if not _cancels(paths, d.tables):
+                    raise KhovanovError(f"d^2 != 0 from {d.basis.words[v]} "
+                                        f"to {basis[i + 2][w_off][0]}")
+                cancelling.add(paths)
 
 
-def _check_d_squared(diffs):
-    """d^{i+1} d^i = 0, column by column, as equal multisets of the rows
-    reached with product +1 and with -1 (module docstring)."""
-    for i, d in diffs.items():
-        if i + 1 in diffs and d and not _squares_to_zero(d, diffs[i + 1]):
-            raise KhovanovError(f"d^2 != 0 between columns {i} and {i + 2}")
-
-
-def _squares_to_zero(d: Differential, second: Differential) -> bool:
-    rows2 = second.row_list()
-    ptr2, split2 = second.ptr.tolist(), second.split.tolist()
-    end2 = ptr2[1:]
-    rows = d.rows
-    for a, s, b in zip(d.ptr, d.split, d.ptr[1:]):
-        pos, neg = [], []
-        for mid in rows[a:s]:
-            pos += rows2[ptr2[mid]:split2[mid]]
-            neg += rows2[split2[mid]:end2[mid]]
-        for mid in rows[s:b]:
-            pos += rows2[split2[mid]:end2[mid]]
-            neg += rows2[ptr2[mid]:split2[mid]]
-        pos.sort()
-        neg.sort()
-        if pos != neg:
-            return False
-    return True
+def _cancels(paths: tuple, tables: list) -> bool:
+    """Whether the paths (s1 s2, table 1, table 2) of one square type sum to
+    zero: the entries (t, h) of the composites with product +1 and with -1,
+    as t << 32 | h (masks that fit in memory are below 2^32), are equal."""
+    sums: tuple[list, list] = ([], [])
+    for s, t1, t2 in paths:
+        second = tables[t2]
+        sums[s < 0].extend([t << 32 | h for t, mids in enumerate(tables[t1])
+                            for m in mids for h in second[m]])
+    for side in sums:
+        side.sort()
+    return sums[0] == sums[1]
 
 
 # ---------------------------------------------------------------------------
@@ -560,47 +565,42 @@ def homology(complex_: KhovanovComplex) -> dict[tuple[int, int], int]:
     leading: dict[int, bytearray] = {}
     for i in sorted(complex_.differentials):
         d = complex_.differentials[i]
-        rows, ptr, split = d.row_list(), d.ptr.tolist(), d.split.tolist()
         j_src = complex_.j_grading[i]
-        skip = leading.pop(i, None) or bytearray(len(split))
-        ends = ptr[1:]
-        # the columns with entries, outside the skipped generators
-        kept = compress(range(len(split)), map(
-            and_, map(ne, ptr, ends), map(not_, skip)))
-        size = len(complex_.j_grading.get(i + 1, ()))
-        lead = leading[i + 1] = bytearray(size)
-
-        def image(col):
-            out = dict.fromkeys(rows[ptr[col]:split[col]], 1)
-            for row in rows[split[col]:ends[col]]:
-                out[row] = -1
-            return out
+        skip = leading.pop(i, None) or bytearray(len(j_src))
+        lead = leading[i + 1] = bytearray(
+            len(complex_.j_grading.get(i + 1, ())))
 
         # per j, the first column with each leading (lowest) row is a pivot
         # as it stands; only the others are reduced, and only the pivots
         # they meet are expanded into dicts
         blocks: dict[int, tuple[dict, list[int]]] = defaultdict(
             lambda: ({}, []))
-        for col in kept:
-            first, rest = blocks[j_src[col]]
-            row = min(rows[ptr[col]:ends[col]])
-            if row in first:
-                rest.append(col)
-            else:
-                first[row] = col
+        for off, n, edges in zip(d.basis.offsets, d.basis.circles, d.edges):
+            # edges come by head offset, so a column's leading row is in
+            # the first edge whose table row is not empty
+            rows = [(h_off, d.tables[tix]) for h_off, _, tix in edges]
+            for t in range(1 << n):
+                if skip[off + t]:
+                    continue
+                for h_off, table in rows:
+                    if table[t]:
+                        first, rest = blocks[j_src[off + t]]
+                        row = h_off + table[t][0]
+                        if row in first:
+                            rest.append(off + t)
+                        else:
+                            first[row] = off + t
+                        break
         while blocks:
             j, (pivots, rest) = blocks.popitem()
-            _pivots(map(image, rest), pivots, image)
+            _pivots(map(d.column, rest), pivots, d.column)
             ranks[(i, j)] = len(pivots)
             for row in pivots:
                 lead[row] = 1
             del pivots      # before the next block's pivots are expanded
 
     for i, js in complex_.j_grading.items():
-        count: dict[int, int] = {}
-        for j in js:
-            count[j] = count.get(j, 0) + 1
-        for j, c in count.items():
+        for j, c in Counter(js).items():
             dim = c - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
             if dim < 0:
                 raise KhovanovError("negative homology dimension (rank bug)")

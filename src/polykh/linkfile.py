@@ -10,6 +10,7 @@ with coordinates written as integers or ``a/b`` fractions.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,24 @@ from .geometry import PolygonalLink, validate_link, GeometryError
 
 class LinkFileError(ValueError):
     pass
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(token: str) -> Fraction:
+    """An integer or ``a/b``, the one number form of the link and diagram
+    files and of ``--dir``.  Anything else raises LinkFileError before
+    ``Fraction`` sees it, which would also read decimals, ``nan`` and
+    exponents such as ``1e100000000``, a power of ten with a hundred
+    million digits."""
+    if _RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):     # b = 0, or too many digits
+            pass
+    raise LinkFileError(
+        f"bad rational {token!r}: expected an integer or a/b with b > 0")
 
 
 def parse_link(text: str) -> PolygonalLink:
@@ -33,9 +52,9 @@ def parse_link(text: str) -> PolygonalLink:
         if len(nums) % 3 != 0:
             raise LinkFileError(f"line {lineno}: coordinate count not a multiple of 3")
         try:
-            vals = [Fraction(tok) for tok in nums]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LinkFileError(f"line {lineno}: bad rational: {exc}") from None
+            vals = [parse_rational(tok) for tok in nums]
+        except LinkFileError as exc:
+            raise LinkFileError(f"line {lineno}: {exc}") from None
         comps.append(tuple(tuple(vals[i:i + 3]) for i in range(0, len(vals), 3)))
     if not comps:
         raise LinkFileError("no components in file")

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,6 +29,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_bounded(*argv, stdin=None):
+    """python with argv in a subprocess that imports polykh from this
+    checkout, stopped after 10 s, so that a parser that hangs fails the test
+    instead of stalling the suite."""
+    src = str(Path(polykh.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=10)
 
 
 class TestValidate:
@@ -174,6 +188,44 @@ class TestDiagram:
     def test_bad_direction(self, capsys):
         code, _, err = run(capsys, "diagram", TREFOIL, "--dir", "0,0")
         assert code == 2 and "direction" in err
+
+
+@pytest.mark.parametrize("token", ["1e100000000", "1.5", "nan"])
+class TestNumberTokens:
+    """Only integers and a/b are numbers; an exponent such as 1e100000000
+    made Fraction build a hundred-million-digit power of ten."""
+
+    def test_link_file(self, token, tmp_path):
+        path = tmp_path / "bad.link"
+        path.write_text(f"component 0 0 0  1 0 0  {token} 1 0\n")
+        proc = run_bounded("-m", "polykh.cli", "validate", str(path))
+        assert proc.returncode == 2
+        assert f"line 1: bad rational {token!r}" in proc.stderr
+
+    def test_direction(self, token):
+        proc = run_bounded("-m", "polykh.cli", "diagram", TREFOIL,
+                           "--dir", f"0,{token},1")
+        assert proc.returncode == 2
+        assert f"bad direction '0,{token},1': bad rational" in proc.stderr
+
+    def test_deform_point(self, token):
+        proc = run_bounded("-m", "polykh.cli", "deform", TREFOIL, "--dir",
+                           "0,0,1", "--add", f"0,2,{token},2,3/2")
+        assert proc.returncode == 2
+        assert f"bad rational {token!r}" in proc.stderr
+
+    def test_diagram_dump(self, token):
+        # no subcommand reads a diagram dump; parse_diagram is the cli
+        # module's reader for dump_diagram's output
+        lines = TREFOIL_DUMP.splitlines()
+        at = next(n for n, line in enumerate(lines) if line.startswith("vertex"))
+        lines[at] = f"vertex {token} 0"
+        proc = run_bounded(
+            "-c", "import sys; from polykh.cli import parse_diagram; "
+            "parse_diagram(sys.stdin.read())", stdin="\n".join(lines))
+        assert proc.returncode == 1
+        assert f"LinkFileError: line {at + 1}: bad rational {token!r}" \
+            in proc.stderr
 
 
 class TestCube:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 from math import lcm
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,8 +15,9 @@ from hypothesis import given, strategies as st
 from polykh.khovanov import (KhovanovError, LaurentPoly, jones_state_sum,
                              normalized_jones, build_complex, homology,
                              khovanov_homology, euler_characteristic,
-                             homology_tsv, Differential, _check_d_squared,
+                             homology_tsv, _check_d_squared,
                              _check_q_grading, _pivots)
+from polykh import khovanov
 from polykh import build_good_diagram, build_cube, load_fixture
 
 from conftest import DIR_Z, random_diagram, torus_table, twist_link
@@ -113,52 +115,104 @@ class TestComplex:
             assert {i: dict(d) for i, d in cx.differentials.items() if d} \
                 == diffs
 
-    def test_from_columns_round_trip(self, trefoil_cube):
-        cx = build_complex(trefoil_cube)
-        for i, d in cx.differentials.items():
-            columns = _columns(d, len(cx.basis[i]))
-            again = Differential.from_columns(columns)
-            assert again == d and _columns(again, len(columns)) == columns
+    def test_mapping_view_matches_blocks(self, trefoil_cube,
+                                         whitehead_diagram):
+        # the Mapping read of the edge blocks: iteration, len, lookup and
+        # column expansion agree, every entry is +-1, and no row repeats
+        for cube in (trefoil_cube, build_cube(whitehead_diagram)):
+            cx = build_complex(cube)
+            for i, d in cx.differentials.items():
+                keys = list(d)
+                assert len(keys) == len(set(keys)) == len(d)
+                columns = _columns(d, len(cx.basis[i]))
+                assert columns == [d.column(col)
+                                   for col in range(len(cx.basis[i]))]
+                assert all(c in (1, -1) for image in columns
+                           for c in image.values())
+                with pytest.raises(KeyError):
+                    d[(0, len(cx.basis[i]))]
 
     def test_d_squared_rejects_tampering(self, trefoil_cube):
-        # one sign flipped
+        # one edge's sign flipped: every square through it has two paths
+        # of one sign
         cx = build_complex(trefoil_cube)
-        diffs = dict(cx.differentials)
-        columns = _columns(diffs[0], len(cx.basis[0]))
-        image = next(image for image in columns if image)
-        row = next(iter(image))
-        image[row] = -image[row]
-        _check_d_squared(diffs)
-        diffs[0] = Differential.from_columns(columns)
-        _check_q_grading(cx.j_grading, diffs)
-        with pytest.raises(KhovanovError, match="d\\^2"):
-            _check_d_squared(diffs)
+        d = cx.differentials[0]
+        v = next(v for v, edges in enumerate(d.edges) if edges)
+        (h_off, sign, tix), *rest = d.edges[v]
+        d.edges[v] = ((h_off, -sign, tix), *rest)
+        _check_q_grading(cx)
+        with pytest.raises(KhovanovError, match="d\\^2 != 0 from "
+                           + re.escape(str(cx.basis[0].words[v])) + " to \\("):
+            _check_d_squared(cx)
 
-    def test_d_squared_rejects_moved_row(self, trefoil_cube):
-        # one entry moved to another generator of the same q-degree: the
-        # q-grading gate passes it, the d^2 gate must not
+    def test_dropped_edge_rejected(self, trefoil_cube):
+        # one edge dropped: the squares through it keep a single path
         cx = build_complex(trefoil_cube)
-        diffs = dict(cx.differentials)
-        columns = {i: _columns(d, len(cx.basis[i])) for i, d in diffs.items()}
-        i, col, row, other = next(
-            (i, col, row, other) for i in cx.degrees[:-1]
-            for col, image in enumerate(columns[i]) for row in image
-            for other, j in enumerate(cx.j_grading[i + 1])
-            if other not in image and j == cx.j_grading[i + 1][row]
-            and columns[i + 1][other] != columns[i + 1][row])
-        columns[i][col][other] = columns[i][col].pop(row)
-        diffs[i] = Differential.from_columns(columns[i])
-        _check_q_grading(cx.j_grading, diffs)
+        d = cx.differentials[1]
+        v = next(v for v, edges in enumerate(d.edges) if edges)
+        d.edges[v] = d.edges[v][1:]
+        _check_q_grading(cx)
+        with pytest.raises(KhovanovError, match="d\\^2 != 0 from .* to "):
+            _check_d_squared(cx)
+
+    def test_d_squared_rejects_moved_row(self, whitehead_diagram):
+        # an entry of a shared table moved to another head mask of the
+        # same popcount: the q-grading gate passes it, the d^2 gate must not
+        cx = build_complex(build_cube(whitehead_diagram))
+        tables = cx.differentials[0].tables
+        tix, moved = next((tix, moved) for tix, n_head in _table_heads(cx)
+                          if (moved := _moved_entry(
+                              _pairs(tables[tix]), n_head)))
+        tables[tix] = _as_table(moved, len(tables[tix]))
+        _check_q_grading(cx)
         with pytest.raises(KhovanovError, match="d\\^2"):
-            _check_d_squared(diffs)
+            _check_d_squared(cx)
+
+    def test_head_mask_outside_block_rejected(self, trefoil_cube):
+        cx = build_complex(trefoil_cube)
+        tables = cx.differentials[0].tables
+        tix, n_head = next(iter(_table_heads(cx)))
+        t, h = _pairs(tables[tix])[0]
+        pairs = _pairs(tables[tix]) + [(t, h + (1 << n_head))]
+        tables[tix] = _as_table(pairs, len(tables[tix]))
+        with pytest.raises(KhovanovError, match="below 2\\^"):
+            _check_q_grading(cx)
 
     def test_entries_other_than_unit_rejected(self, trefoil_cube):
         cx = build_complex(trefoil_cube)
-        columns = _columns(cx.differentials[0], len(cx.basis[0]))
-        image = next(image for image in columns if image)
-        image[next(iter(image))] = 2
-        with pytest.raises(KhovanovError, match="entry 2 is not"):
-            Differential.from_columns(columns)
+        d = cx.differentials[0]
+        v = next(v for v, edges in enumerate(d.edges) if edges)
+        (h_off, _sign, tix), *rest = d.edges[v]
+        d.edges[v] = ((h_off, 2, tix), *rest)
+        with pytest.raises(KhovanovError, match="sign 2 is not"):
+            _check_q_grading(cx)
+
+    def test_gate_work_follows_square_types(self, monkeypatch):
+        # the d^2 gate compares composites once per square type, not once
+        # per square, and its cache dies with the build_complex call
+        cube = build_cube(build_good_diagram(twist_link(8, 1), DIR_Z))
+        calls = []
+
+        def counting(paths, tables):
+            calls.append(paths)
+            return real(paths, tables)
+
+        real = khovanov._cancels
+        monkeypatch.setattr(khovanov, "_cancels", counting)
+        cx = build_complex(cube)
+        squares = 28 * 2 ** 6          # C(8, 2) 2^(8-2)
+        assert 0 < len(calls) <= len(_square_types(cx)) < squares
+        # the same tables, one entry moved: the next build must catch it
+        real_images = khovanov._edge_images
+
+        def mutant(kind, n, a, b, c):
+            pairs = real_images(kind, n, a, b, c)
+            n_head = n - 1 if kind == "merge" else n + 1
+            return _moved_entry(pairs, n_head) or pairs
+
+        monkeypatch.setattr(khovanov, "_edge_images", mutant)
+        with pytest.raises(KhovanovError, match="d\\^2"):
+            build_complex(cube)
 
     def test_build_memory_per_generator(self):
         # the compact storage costs about 130 bytes a generator at peak on
@@ -172,6 +226,57 @@ class TestComplex:
             tracemalloc.stop()
         generators = sum(len(b) for b in cx.basis.values())
         assert peak / generators < 200
+
+
+def _pairs(table):
+    """A table's entries as (tail mask, head mask) pairs."""
+    return [(t, h) for t, heads in enumerate(table) for h in heads]
+
+
+def _as_table(pairs, rows):
+    out = [[] for _ in range(rows)]
+    for t, h in pairs:
+        out[t].append(h)
+    return tuple(tuple(sorted(row)) for row in out)
+
+
+def _moved_entry(pairs, n_head):
+    """pairs with its first movable entry sent to another head mask of the
+    same popcount not yet in its row, or None if no entry can move."""
+    for at, (t, h) in enumerate(pairs):
+        row = {h2 for t2, h2 in pairs if t2 == t}
+        for other in range(1 << n_head):
+            if other not in row and other.bit_count() == h.bit_count():
+                return pairs[:at] + [(t, other)] + pairs[at + 1:]
+    return None
+
+
+def _table_heads(cx):
+    """{table index: head circles} over the complex's edges."""
+    heads = {}
+    for i, d in cx.differentials.items():
+        for edges in d.edges:
+            for h_off, _sign, tix in edges:
+                w = cx.basis[i + 1].offsets.index(h_off)
+                heads[tix] = cx.basis[i + 1].circles[w]
+    return heads.items()
+
+
+def _square_types(cx):
+    """The distinct multisets of (s1 s2, first table, second table) over
+    the paths between the complex's vertices two degrees apart."""
+    types = set()
+    for i, d in cx.differentials.items():
+        if i + 1 not in cx.differentials:
+            continue
+        mid = dict(zip(cx.basis[i + 1].offsets, cx.differentials[i + 1].edges))
+        for edges in d.edges:
+            squares = {}
+            for u_off, s1, t1 in edges:
+                for w_off, s2, t2 in mid[u_off]:
+                    squares.setdefault(w_off, []).append((s1 * s2, t1, t2))
+            types.update(tuple(sorted(p)) for p in squares.values())
+    return types
 
 
 def _columns(d, size):
