@@ -16,8 +16,8 @@ from fractions import Fraction
 from .geometry import (GeometryError, PolygonalLink,
                        validate_link, find_regular_direction, refine_to_good,
                        deform_add_vertex, deform_remove_vertex)
-from .linkfile import (LinkFileError, parse_link, parse_rational, load_link,
-                       dump_link)
+from .linkfile import (LinkFileError, parse_link, parse_integer,
+                       parse_rational, load_link, dump_link)
 from .diagram import (DiagramError, GoodDiagram, CrossingRecord,
                       build_good_diagram, good_diagram_auto, crossing_sign)
 from .cube import Cube, CubeError, build_cube
@@ -275,7 +275,13 @@ def cmd_deform(args) -> int:
         if len(fields) != 5:
             print("error: --add expects ci,pos,x,y,z", file=sys.stderr)
             return 2
-        ci, pos = int(fields[0]), int(fields[1])
+        ci, pos = parse_integer(fields[0]), parse_integer(fields[1])
+        if not 0 <= ci < len(link.components):
+            raise LinkFileError(f"--add: no component {ci} in a "
+                                f"{len(link.components)}-component link")
+        if not 0 <= pos < len(link.components[ci]):
+            raise LinkFileError(f"--add: no position {pos} on component "
+                                f"{ci} of {len(link.components[ci])} vertices")
         point = tuple(map(parse_rational, fields[2:]))
         link2 = deform_add_vertex(link, ci, pos, point)
         print(f"added vertex at component {ci} position {pos}")

@@ -8,15 +8,22 @@ orientation.  Each resolution step is computed twice — once by closed
 permutation formulas (composition with a transposition, possibly conjugated
 by a dihedral reflection) and once by direct graph tracing — and the two must
 agree exactly.
+
+The steps run on image lists: a list s with s[0] = 0 and s[x] = sigma(x)
+stands for sigma.  Both oracles map a list to a new list, and the two lists
+are compared at every step.  A Permutation, its cycles and the dihedral
+factors are built once per full smoothing, and the cube's edges hold the
+vertices' own word tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from .diagram import GoodDiagram, CrossingRecord
-from .perm import Permutation, DihedralFactor
+from .perm import Permutation, PermError, DihedralFactor
 
 
 class CubeError(ValueError):
@@ -33,7 +40,7 @@ class CubeMismatchError(CubeError):
         self.choice = choice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmoothingState:
     """A (partial) smoothing: word over {0,1,2} plus oriented circles."""
 
@@ -75,69 +82,63 @@ def _crossing_arcs(crossing: CrossingRecord, choice: int):
     return ((i, v), (j, w))
 
 
-def _locate_arc(sigma: Permutation, a: int, b: int) -> tuple[int, int]:
-    """The directed edge of sigma joining a and b, as (source, target)."""
-    if sigma(a) == b:
+def _locate_arc(s: list[int], a: int, b: int) -> tuple[int, int]:
+    """The directed edge of the image list s joining a and b, as
+    (source, target)."""
+    if s[a] == b:
         return (a, b)
-    if sigma(b) == a:
+    if s[b] == a:
         return (b, a)
     raise CubeError(f"no edge between {a} and {b} in the current smoothing")
 
 
-def smooth_crossing_trace(state: SmoothingState, l: int,
-                          choice: int) -> SmoothingState:
-    """Resolve crossing l by cutting sigma's circles into strands and
-    re-joining them.
+def _trace_images(crossing: CrossingRecord, s: list[int],
+                  choice: int) -> list[int]:
+    """The trace oracle: resolve the crossing by cutting the circles of the
+    image list s into strands and re-joining them; returns a new list.
 
-    Cutting the crossing's two arcs out of the circles of sigma through
-    i_l and v_l leaves two directed strands, each running from the head of
-    one cut arc to the tail of the other.  The choice's pairing joins their
-    ends; the circle through i_l is re-walked starting with the new edge out
-    of i_l, then (if separate) the circle through v_l starting at v_l, and a
-    strand walked from its tail is reversed.  A remaining re-joined strand
-    keeps the direction of sigma.  Every other vertex keeps its image under
-    sigma.
+    Cutting the crossing's two arcs out of the circles through i_l and v_l
+    leaves two directed strands, each running from the head of one cut arc
+    to the tail of the other; a strand is held by these two ends.  The
+    choice's pairing joins their ends; the circle through i_l is re-walked
+    starting with the new edge out of i_l, then (if separate) the circle
+    through v_l starting at v_l, and a strand walked from its tail is
+    reversed link by link along sigma.  A remaining re-joined strand keeps
+    the direction of sigma.  Every other vertex keeps its image under sigma.
     """
-    if not 1 <= l <= state.diagram.k:
-        raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
-    crossing = state.diagram.crossings[l - 1]
-    if state.word[l - 1] != 2:
-        raise CubeError(f"crossing {l} already resolved")
     i, j, v, w = crossing.quadruple
-    sigma = state.successor
-    _, head1 = _locate_arc(sigma, i, j)
-    _, head2 = _locate_arc(sigma, v, w)
-    first = sigma.cycle_containing(head1)
-    if head2 in first:
-        cut = first.index(head2)
-        strands = (first[:cut], first[cut:])
+    tail1, head1 = _locate_arc(s, i, j)
+    tail2, head2 = _locate_arc(s, v, w)
+    if _same_cycle(s, head1, head2):
+        strands = ((head1, tail2), (head2, tail1))
     else:
-        strands = (first, sigma.cycle_containing(head2))
+        strands = ((head1, tail1), (head2, tail2))
     # an end of a strand -> (the strand, whether it is walked forward
     # when entered there)
     ends = {}
     for strand in strands:
         ends[strand[0]] = (strand, True)
-        ends[strand[-1]] = (strand, False)
-    partner = {}
-    for a, b in _crossing_arcs(crossing, choice):
-        partner[a], partner[b] = b, a
+        ends[strand[1]] = (strand, False)
+    (a, b), (c, d) = _crossing_arcs(crossing, choice)
+    partner = {a: b, b: a, c: d, d: c}
 
-    succ = list(sigma.images)
+    succ = s[:]
     for start in (i, v):
         if start not in ends:
             continue            # v lies on the circle walked from i
         x = start
         while True:
             y = partner[x]
-            succ[x - 1] = y
-            strand, forward = ends.pop(y)
-            if not forward:
+            succ[x] = y
+            (head, tail), forward = ends.pop(y)
+            if forward:
+                x = tail
+            else:
                 # entered at its tail: every link of the strand turns round
-                strand = strand[::-1]
-                for a, b in zip(strand, strand[1:]):
-                    succ[a - 1] = b
-            x = strand[-1]
+                x = head
+                while head != tail:
+                    succ[s[head]] = head
+                    head = s[head]
             del ends[x]
             if x == start:
                 break
@@ -145,22 +146,18 @@ def smooth_crossing_trace(state: SmoothingState, l: int,
     # nor v, so it arises only when sigma runs i->j ... w->v and the pairing
     # is (i,v),(j,w): the j-w circle
     if ends:
-        strand, _ = next(iter(ends.values()))
-        head, tail = strand[0], strand[-1]
+        (head, tail), _ = next(iter(ends.values()))
         if len(ends) != 2 or partner[tail] != head:
             raise CubeError("orientation trace left a circle without direction")
-        succ[tail - 1] = head
-
-    word = state.word[:l - 1] + (choice,) + state.word[l:]
-    return SmoothingState(state.diagram, word, Permutation(succ))
+        succ[tail] = head
+    return succ
 
 
 # ---------------------------------------------------------------------------
 # the permutation formulas on image lists
 #
-# A list p with p[0] = 0 and p[x] = sigma(x) stands for the permutation
-# sigma.  Each helper returns a new list, and its docstring names the
-# operation of the perm module it computes.
+# Each helper returns a new list, and its docstring names the operation of
+# the perm module it computes on the permutation the list stands for.
 
 
 def _cycle_of(p: list[int], x: int) -> list[int]:
@@ -171,6 +168,14 @@ def _cycle_of(p: list[int], x: int) -> list[int]:
         cyc.append(y)
         y = p[y]
     return cyc
+
+
+def _same_cycle(p: list[int], x: int, y: int) -> bool:
+    """y in perm.cycle_containing(x)."""
+    z = p[x]
+    while z != x and z != y:
+        z = p[z]
+    return z == y
 
 
 def _left_swap(p: list[int], a: int, b: int) -> list[int]:
@@ -223,9 +228,10 @@ def _reversed_cycles(p: list[int], members) -> list[int]:
     return q
 
 
-def smooth_crossing_theorem(state: SmoothingState, l: int,
-                            choice: int) -> SmoothingState:
-    """Resolve crossing l via the closed permutation formulas.
+def _formula_images(crossing: CrossingRecord, s: list[int],
+                    choice: int) -> list[int]:
+    """Resolve the crossing on the image list s by the closed permutation
+    formulas; returns a new list.
 
     Dispatch is on the current direction of the two crossing arcs (sigma maps
     i->j or j->i, and v->w or w->v) and on whether i and v share a cycle.
@@ -234,23 +240,14 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
     evaluated on image lists; the comment above each line gives it in the
     algebra of the perm module, with T(a, b) the transposition of a and b.
     """
-    if not 1 <= l <= state.diagram.k:
-        raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
-    crossing = state.diagram.crossings[l - 1]
-    if state.word[l - 1] != 2:
-        raise CubeError(f"crossing {l} already resolved")
-    if choice not in (0, 1):
-        raise CubeError(f"choice must be 0 or 1, got {choice}")
     i, j, v, w = crossing.quadruple
     eps = crossing.sign
-    s = [0, *state.successor.images]          # s[x] = sigma(x)
-    same = v in _cycle_of(s, i)
 
     if s[i] == j and s[v] == w:
         if (choice == 0) == (eps == 1):
             # compose(T(j, w), sigma)
             res = _left_swap(s, j, w)
-        elif same:
+        elif _same_cycle(s, i, v):
             # conjugate(sigma, reflection_in(compose(T(j, w), sigma), j, v))
             res = _conjugate(s, _reflection(_left_swap(s, j, w), j, v))
         else:
@@ -260,7 +257,7 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
         if (choice == 1) == (eps == 1):
             # compose(T(j, v), sigma)
             res = _left_swap(s, j, v)
-        elif same:
+        elif _same_cycle(s, i, v):
             # conjugate(sigma, reflection_in(compose(T(j, v), sigma), j, w))
             res = _conjugate(s, _reflection(_left_swap(s, j, v), j, w))
         else:
@@ -270,7 +267,7 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
         if (choice == 1) == (eps == 1):
             # compose(sigma, T(j, v))
             res = _right_swap(s, j, v)
-        elif same:
+        elif _same_cycle(s, i, v):
             # conjugate(sigma, reflection_in(compose(sigma, T(j, v)), j, w))
             res = _conjugate(s, _reflection(_right_swap(s, j, v), j, w))
         else:
@@ -283,7 +280,7 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
         if (choice == 0) == (eps == 1):
             # compose(sigma, T(j, w))
             res = _right_swap(s, j, w)
-        elif same:
+        elif _same_cycle(s, i, v):
             # conjugate(sigma, reflection_in(compose(sigma, T(j, w)), j, v))
             res = _conjugate(s, _reflection(_right_swap(s, j, w), j, v))
         else:
@@ -291,24 +288,76 @@ def smooth_crossing_theorem(state: SmoothingState, l: int,
             res = _conjugate(_right_swap(s, j, w), _reflection(s, v, w))
         res = _reversed_cycles(res, (i, v))
     else:
-        raise CubeError(
-            f"crossing {l}: neither arc of ({i},{j},{v},{w}) present in sigma")
+        raise CubeError(f"crossing {crossing.index}: neither arc of "
+                        f"({i},{j},{v},{w}) present in sigma")
+    return res
 
+
+def _step(diagram: GoodDiagram, word: tuple[int, ...], s: list[int], l: int,
+          choice: int) -> list[int]:
+    """One resolution step on image lists: the trace oracle and the closed
+    formulas both resolve crossing l of the smoothing (word, s), and their
+    lists must be equal.  Returns the formula's list."""
+    crossing = diagram.crossings[l - 1]
+    traced = _trace_images(crossing, s, choice)
+    formula = _formula_images(crossing, s, choice)
+    if formula != traced:
+        raise CubeMismatchError(
+            f"formula/trace mismatch at word {word}, crossing {l}, "
+            f"choice {choice}: formula {_cycle_text(formula)} vs "
+            f"trace {_cycle_text(traced)}",
+            word=word, crossing=l, choice=choice)
+    return formula
+
+
+def _cycle_text(images: list[int]) -> str:
+    """Cycle notation of an image list, for error messages; a list that is
+    no bijection is shown as it is."""
+    try:
+        return Permutation(images[1:]).cycle_str()
+    except PermError:
+        return f"non-bijective images {images[1:]}"
+
+
+def _checked(state: SmoothingState, l: int, choice: int) -> list[int]:
+    """The image list of the state, once crossing l and the choice are
+    known to name a step."""
+    if not 1 <= l <= state.diagram.k:
+        raise CubeError(f"no crossing {l} in a {state.diagram.k}-crossing diagram")
+    if state.word[l - 1] != 2:
+        raise CubeError(f"crossing {l} already resolved")
+    if choice not in (0, 1):
+        raise CubeError(f"choice must be 0 or 1, got {choice}")
+    return [0, *state.successor.images]
+
+
+def _resolved(state: SmoothingState, l: int, choice: int,
+              images: list[int]) -> SmoothingState:
     word = state.word[:l - 1] + (choice,) + state.word[l:]
-    return SmoothingState(state.diagram, word, Permutation(res[1:]))
+    return SmoothingState(state.diagram, word, Permutation(images[1:]))
+
+
+def smooth_crossing_trace(state: SmoothingState, l: int,
+                          choice: int) -> SmoothingState:
+    """Resolve crossing l by the trace oracle alone."""
+    s = _checked(state, l, choice)
+    return _resolved(state, l, choice, _trace_images(
+        state.diagram.crossings[l - 1], s, choice))
+
+
+def smooth_crossing_theorem(state: SmoothingState, l: int,
+                            choice: int) -> SmoothingState:
+    """Resolve crossing l by the closed permutation formulas alone."""
+    s = _checked(state, l, choice)
+    return _resolved(state, l, choice, _formula_images(
+        state.diagram.crossings[l - 1], s, choice))
 
 
 def resolve(state: SmoothingState, l: int, choice: int) -> SmoothingState:
     """Theorem-formula resolution, cross-checked against the trace oracle."""
-    traced = smooth_crossing_trace(state, l, choice)
-    theorem = smooth_crossing_theorem(state, l, choice)
-    if traced.successor != theorem.successor:
-        raise CubeMismatchError(
-            f"formula/trace mismatch at word {state.word}, crossing {l}, "
-            f"choice {choice}: formula {theorem.successor.cycle_str()} vs "
-            f"trace {traced.successor.cycle_str()}",
-            word=state.word, crossing=l, choice=choice)
-    return theorem
+    s = _checked(state, l, choice)
+    return _resolved(state, l, choice,
+                     _step(state.diagram, state.word, s, l, choice))
 
 
 def vertex_group(state: SmoothingState) -> list[DihedralFactor]:
@@ -318,7 +367,7 @@ def vertex_group(state: SmoothingState) -> list[DihedralFactor]:
     return [DihedralFactor(cyc) for cyc in state.successor.cycles()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeVertex:
     word: tuple[int, ...]          # over {0,1}
     state: SmoothingState
@@ -352,12 +401,26 @@ class Cube:
         return self.vertices[tuple(word)]
 
 
+def _full_smoothing(diagram: GoodDiagram, word: tuple[int, ...],
+                   images: list[int]) -> CubeVertex:
+    """The cube vertex of the full smoothing with image list ``images``.
+
+    Its one Permutation checks that the list is a bijection; the circles are
+    walked once, and the dihedral factors hold the permutation's own cycle
+    tuples.
+    """
+    successor = Permutation(images[1:])
+    return CubeVertex(word, SmoothingState(diagram, word, successor),
+                      tuple(map(DihedralFactor, successor.cycles())))
+
+
 def build_cube(diagram: GoodDiagram,
                order: Optional[Sequence[int]] = None) -> Cube:
     """All 2^k full smoothings, resolving crossings in ``order``.
 
-    Partial states are shared down a binary tree over choices; every step is
-    formula-computed and trace-verified.  Deterministic for a fixed order.
+    Partial smoothings are image lists shared down a binary tree over
+    choices; every step is formula-computed and trace-verified.
+    Deterministic for a fixed order.
     """
     k = diagram.k
     if order is None:
@@ -367,47 +430,65 @@ def build_cube(diagram: GoodDiagram,
         raise CubeError(f"order must be a permutation of 1..{k}: {order}")
 
     vertices: dict[tuple[int, ...], CubeVertex] = {}
-    _descend(initial_state(diagram), order, vertices)
+    # sigma of the word of all 2s: the component successors
+    s = [0, *map(diagram.successor, range(1, diagram.n + 1))]
+    _descend(diagram, order, 0, (2,) * k, s, vertices)
     return Cube(diagram, order, vertices, assemble_edges(vertices))
 
 
-def _descend(state: SmoothingState, order: tuple[int, ...],
-             vertices: dict) -> None:
-    """Resolve the crossings ``order`` names, choice 0 before choice 1, and
-    put every full smoothing into ``vertices``.
+def _descend(diagram: GoodDiagram, order: tuple[int, ...], depth: int,
+             word: tuple[int, ...], s: list[int], vertices: dict) -> None:
+    """Resolve the crossings ``order[depth:]`` names, choice 0 before
+    choice 1, and put every full smoothing into ``vertices``.
 
     A module-level function, not a closure over ``vertices``: a recursive
     closure is a reference cycle, which kept every cube alive until the
     next full garbage collection.
     """
-    if not order:
-        vertices[state.word] = CubeVertex(
-            state.word, state, tuple(vertex_group(state)))
+    if depth == len(order):
+        vertices[word] = _full_smoothing(diagram, word, s)
         return
+    l = order[depth]
     for choice in (0, 1):
-        _descend(resolve(state, order[0], choice), order[1:], vertices)
+        _descend(diagram, order, depth + 1,
+                 word[:l - 1] + (choice,) + word[l:],
+                 _step(diagram, word, s, l, choice), vertices)
+
+
+_STAR = ("*",)
 
 
 def assemble_edges(vertices: dict[tuple[int, ...], CubeVertex]) -> tuple[CubeEdge, ...]:
-    """All cube edges between adjacent full smoothings, with signs and kinds."""
-    edges = []
+    """All cube edges between adjacent full smoothings, with signs and kinds.
+
+    Edges come position by position, each in the order of ``vertices``.
+    A word is read as the bit mask of its 1s; an edge's tail and head are
+    the vertices' own word tuples, and its sign is the parity of the 1s
+    left of the star.
+    """
     k = len(next(iter(vertices))) if vertices else 0
-    circles = {word: vx.c for word, vx in vertices.items()}
-    for pos in range(k):
-        for word, c_tail in circles.items():
-            if word[pos] != 0:
+    bits = [1 << pos for pos in range(k)]
+    rows = []                       # (mask, word, circles), in vertex order
+    by_mask = {}
+    for word, vx in vertices.items():
+        mask = sum(compress(bits, word))
+        rows.append((mask, word, len(vx.groups)))
+        by_mask[mask] = (word, len(vx.groups))
+    edges = []
+    for pos, bit in enumerate(bits):
+        left = bit - 1
+        for mask, tail, c_tail in rows:
+            if mask & bit:
                 continue
-            letters = list(word)
-            letters[pos] = 1
-            head = tuple(letters)
-            c_head = circles[head]
-            if abs(c_tail - c_head) != 1:
+            head, c_head = by_mask[mask | bit]
+            if c_head - c_tail not in (1, -1):
                 raise CubeError(
-                    f"edge {word}->{head}: circle count changed by "
+                    f"edge {tail}->{head}: circle count changed by "
                     f"{c_head - c_tail}")
-            letters[pos] = "*"
-            star = tuple(letters)
-            sign = -1 if word[:pos].count(1) % 2 else 1
-            kind = "merge" if c_head == c_tail - 1 else "split"
-            edges.append(CubeEdge(star, word, head, kind, sign))
+            # CubeEdge(star_word, tail, head, kind, sign), without the
+            # Python-level __new__ of a NamedTuple
+            edges.append(tuple.__new__(CubeEdge, (
+                tail[:pos] + _STAR + tail[pos + 1:], tail, head,
+                "merge" if c_head < c_tail else "split",
+                -1 if (mask & left).bit_count() & 1 else 1)))
     return tuple(edges)

@@ -68,15 +68,6 @@ class GoodDiagram(ComponentNeighbours):
         """sigma = sigma_1 ... sigma_r, the component-successor permutation."""
         return Permutation(self._neighbours[0])
 
-    def index_sets(self) -> tuple[frozenset, frozenset, frozenset]:
-        """(I, V, K): overcrossing starts, undercrossing starts, the rest."""
-        I = frozenset(c.i for c in self.crossings)
-        V = frozenset(c.v for c in self.crossings)
-        if I & V:
-            raise DiagramError(f"indices both over and under: {sorted(I & V)}")
-        K = frozenset(range(1, self.n + 1)) - I - V
-        return I, V, K
-
 
 def crossing_sign(qi: Vec2, qj: Vec2, qv: Vec2, qw: Vec2) -> int:
     """Sign of the crossing with overcrossing edge qi->qj above qv->qw.

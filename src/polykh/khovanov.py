@@ -55,7 +55,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
 from operator import and_, eq, ge, ne, sub
@@ -174,23 +173,6 @@ class LaurentPoly:
                 parts.append(f"{c}*q^{e}")
             else:
                 parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*q^{e}")
-        return " ".join(parts)
-
-    def t_text(self) -> str:
-        """The substitution q -> -t^(1/2), as text (half-integer exponents)."""
-        terms: dict[Fraction, int] = {}
-        for e, c in self.coeffs.items():
-            ex = Fraction(e, 2)
-            terms[ex] = terms.get(ex, 0) + c * (-1) ** e
-        terms = {e: c for e, c in terms.items() if c}
-        if not terms:
-            return "0"
-        parts = []
-        for e in sorted(terms):
-            c = terms[e]
-            es = str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-            head = f"{c}*t^{es}" if not parts else f"{'+' if c > 0 else '-'} {abs(c)}*t^{es}"
-            parts.append(head)
         return " ".join(parts)
 
     def __repr__(self):

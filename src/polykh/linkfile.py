@@ -21,6 +21,7 @@ class LinkFileError(ValueError):
     pass
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -37,6 +38,18 @@ def parse_rational(token: str) -> Fraction:
             pass
     raise LinkFileError(
         f"bad rational {token!r}: expected an integer or a/b with b > 0")
+
+
+def parse_integer(token: str) -> int:
+    """A decimal integer with an optional sign; anything else raises
+    LinkFileError, where ``int`` would also read spaces, underscores and
+    non-ASCII digits, or fail with a bare ValueError."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:          # more digits than int() converts
+            pass
+    raise LinkFileError(f"bad integer {token!r}")
 
 
 def parse_link(text: str) -> PolygonalLink:

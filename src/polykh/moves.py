@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 from .perm import Permutation
 from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       build_good_diagram, crossing_sign)
-from .cube import (Cube, CubeVertex, SmoothingState, assemble_edges,
-                   vertex_group, _crossing_arcs, _cycle_of, _left_swap,
-                   _right_swap, _reversed_cycles)
+from .cube import (Cube, SmoothingState, assemble_edges, _crossing_arcs,
+                   _cycle_of, _full_smoothing, _left_swap, _right_swap,
+                   _reversed_cycles)
 from .geometry import (PolygonalLink, DeformationError, seg2_intersection,
                        point_on_seg2, _point_in_triangle2, orient2,
                        deform_remove_vertex)
@@ -492,9 +492,7 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
                         "recompute the cube from the deformed diagram")
                 continue
             word = word[:lc - 1] + word[lc:]
-        state = SmoothingState(diagram2, word,
-                               Permutation(_substituted(s, a, p)[1:]))
-        vertices[word] = CubeVertex(word, state, tuple(vertex_group(state)))
+        vertices[word] = _full_smoothing(diagram2, word, _substituted(s, a, p))
     return Cube(diagram2, order2, vertices, assemble_edges(vertices)), \
         provenance
 

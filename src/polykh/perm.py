@@ -18,7 +18,7 @@ class PermError(ValueError):
 class Permutation:
     """An element of S_n in one-line notation (1-based)."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_cycles")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -26,6 +26,7 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise PermError(f"not a bijection on 1..{n}: {images}")
         self.images = images
+        self._cycles = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -85,18 +86,27 @@ class Permutation:
         """Disjoint cycles, each rotated min-first, sorted by minimum.
 
         Fixed points are included as 1-cycles.  Each cycle is walked from
-        the least index not yet seen, which is its minimum.
+        the least index not yet seen, which is its minimum.  The walk runs
+        once per permutation; every call returns a new list of the same
+        cycle tuples.
         """
-        seen = [False] * (self.n + 1)
-        out = []
-        for x in range(1, self.n + 1):
-            if seen[x]:
-                continue
-            cyc = self.cycle_containing(x)
-            for y in cyc:
-                seen[y] = True
-            out.append(cyc)
-        return out
+        if self._cycles is None:
+            todo = [0, *self.images]     # todo[x] = 0 once x is walked
+            out = []
+            for x in range(1, len(todo)):
+                y = todo[x]
+                if not y:
+                    continue
+                cyc = [x]
+                todo[x] = 0
+                while y != x:
+                    cyc.append(y)
+                    z = todo[y]
+                    todo[y] = 0
+                    y = z
+                out.append(tuple(cyc))
+            self._cycles = tuple(out)
+        return list(self._cycles)
 
     def nontrivial_cycles(self) -> list[tuple[int, ...]]:
         return [c for c in self.cycles() if len(c) > 1]
@@ -153,7 +163,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     return Permutation.from_cycles(n, cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DihedralFactor:
     """One dihedral factor of a smoothing group: the rotation generator as a cycle."""
 

@@ -388,6 +388,21 @@ class TestDeform:
                            "--add", "0,2,-1,2,3/2", "-o", str(out_path))
         assert code == 0 and "added vertex" in out
 
+    @pytest.mark.parametrize("fields, message", [
+        ("x,2,0,0,0", "bad integer 'x'"),
+        ("0,2.5,0,0,0", "bad integer '2.5'"),
+        ("0, 2,0,0,0", "bad integer ' 2'"),
+        ("1,2,0,0,0", "no component 1"),
+        ("-1,2,0,0,0", "no component -1"),
+        ("0,9,0,0,0", "no position 9")])
+    def test_add_bad_index(self, capsys, fields, message):
+        # component and position are checked integers: a bad one is a
+        # LinkFileError with exit 2, not a traceback
+        code, out, err = run(capsys, "deform", TREFOIL, "--dir", "0,0,1",
+                             f"--add={fields}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_blocked_removal(self, capsys):
         code, _, err = run(capsys, "deform", TREFOIL, "--dir", "0,0,1",
                            "--remove", "1")

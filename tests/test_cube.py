@@ -6,12 +6,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from polykh.perm import (Permutation, compose, conjugate, parse_cycles,
-                         reflection_in)
+from polykh.perm import (PermError, Permutation, compose, conjugate,
+                         parse_cycles, reflection_in)
 from polykh import cube as cube_module
 from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
-                         smooth_crossing_trace, smooth_crossing_theorem,
-                         vertex_group, build_cube, assemble_edges,
+                         smooth_crossing_trace, vertex_group, build_cube,
                          _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
 
@@ -25,7 +24,8 @@ def full_graph_trace(state, l, choice):
     i, j, v, w = crossing.quadruple
     sigma = state.successor
     n = sigma.n
-    removed = {_locate_arc(sigma, i, j), _locate_arc(sigma, v, w)}
+    s = [0, *sigma.images]
+    removed = {_locate_arc(s, i, j), _locate_arc(s, v, w)}
     edges = [(x, sigma(x), True) for x in range(1, n + 1)
              if (x, sigma(x)) not in removed]
     new_ids = []
@@ -252,53 +252,50 @@ class TestTheoremVsTrace:
         # reverse the circle through i in the result of the plain branch
         # (sigma(i) = j, sigma(v) = w, transposition only); the first step
         # the mutant changes must be reported by build_cube
-        original = smooth_crossing_theorem
+        original = cube_module._formula_images
         mutated = []
 
-        def mutant(state, l, choice):
-            out = original(state, l, choice)
-            crossing = state.diagram.crossings[l - 1]
+        def mutant(crossing, s, choice):
+            out = original(crossing, s, choice)
             i, j, v, w = crossing.quadruple
-            sigma = state.successor
-            if (sigma(i) == j and sigma(v) == w
+            if (s[i] == j and s[v] == w
                     and (choice == 0) == (crossing.sign == 1)):
-                res = Permutation(cube_module._reversed_cycles(
-                    [0, *out.successor.images], (i,))[1:])
-                if res != out.successor:
-                    mutated.append((state.word, l, choice))
-                    return cube_module.SmoothingState(
-                        out.diagram, out.word, res)
+                res = cube_module._reversed_cycles(out, (i,))
+                if res != out:
+                    mutated.append((word_of(whitehead_diagram, s),
+                                    crossing.index, choice))
+                    return res
             return out
 
-        monkeypatch.setattr(cube_module, "smooth_crossing_theorem", mutant)
+        monkeypatch.setattr(cube_module, "_formula_images", mutant)
         with pytest.raises(CubeMismatchError) as info:
             build_cube(whitehead_diagram)
         assert mutated
-        word, crossing, choice = mutated[0]
         assert (info.value.word, info.value.crossing,
-                info.value.choice) == (word, crossing, choice)
+                info.value.choice) == mutated[0]
 
     def test_mutant_strand_trace_caught(self, whitehead_diagram,
                                         monkeypatch):
         # walk the remaining strand (the j-w circle, holding neither i nor
         # v) against sigma's direction: the full-graph reference must
         # disagree, and build_cube must report the first changed step
-        original = smooth_crossing_trace
+        original = cube_module._trace_images
         mutated = []
 
-        def mutant(state, l, choice):
-            out = original(state, l, choice)
-            i, j, v, w = state.diagram.crossings[l - 1].quadruple
-            jw = out.successor.cycle_containing(j)
+        def mutant(crossing, s, choice):
+            out = original(crossing, s, choice)
+            i, j, v, w = crossing.quadruple
+            jw = cube_module._cycle_of(out, j)
             if i in jw or v in jw:
                 return out
-            res = reverse_cycles(out.successor, (j,))
-            if res == out.successor:
+            res = cube_module._reversed_cycles(out, (j,))
+            if res == out:
                 return out
-            mutated.append((state.word, l, choice))
-            return cube_module.SmoothingState(out.diagram, out.word, res)
+            mutated.append((word_of(whitehead_diagram, s), crossing.index,
+                            choice))
+            return res
 
-        monkeypatch.setattr(cube_module, "smooth_crossing_trace", mutant)
+        monkeypatch.setattr(cube_module, "_trace_images", mutant)
         with pytest.raises(AssertionError):
             check_every_step(whitehead_diagram,
                              [tuple(range(1, whitehead_diagram.k + 1))])
@@ -307,9 +304,82 @@ class TestTheoremVsTrace:
         with pytest.raises(CubeMismatchError) as info:
             build_cube(whitehead_diagram)
         assert mutated
-        word, crossing, choice = mutated[0]
         assert (info.value.word, info.value.crossing,
-                info.value.choice) == (word, crossing, choice)
+                info.value.choice) == mutated[0]
+
+    def test_non_bijective_list_caught(self, whitehead_diagram, monkeypatch):
+        # the last step of a formula core returns a list that is no
+        # bijection: the step comparison reports it, and if the trace
+        # returned the same list, the full smoothing's Permutation rejects it
+        k = whitehead_diagram.k
+        formula, trace = cube_module._formula_images, cube_module._trace_images
+
+        def broken(core):
+            def run(crossing, s, choice):
+                out = core(crossing, s, choice)
+                if crossing.index == k:
+                    out[1] = out[2]
+                return out
+            return run
+
+        monkeypatch.setattr(cube_module, "_formula_images", broken(formula))
+        with pytest.raises(CubeMismatchError, match="non-bijective") as info:
+            build_cube(whitehead_diagram)
+        assert info.value.crossing == k and info.value.word[k - 1] == 2
+        monkeypatch.setattr(cube_module, "_trace_images", broken(trace))
+        with pytest.raises(PermError, match="not a bijection") as info:
+            build_cube(whitehead_diagram)
+        assert info.traceback[-2].name == "_full_smoothing"
+
+
+def word_of(diagram, s):
+    """The word of the partial smoothing whose arcs the image list s runs
+    along: per crossing, 2 while both crossing edges are present, else the
+    choice whose pairing is."""
+    joined = lambda a, b: s[a] == b or s[b] == a
+    word = []
+    for cr in diagram.crossings:
+        letters = [letter for letter, arcs in (
+            (2, ((cr.i, cr.j), (cr.v, cr.w))),
+            (0, _crossing_arcs(cr, 0)), (1, _crossing_arcs(cr, 1)))
+            if all(joined(a, b) for a, b in arcs)]
+        assert len(letters) == 1, (cr, s)
+        word += letters
+    return tuple(word)
+
+
+class TestBuildWork:
+    def test_one_permutation_per_vertex_two_oracles_per_step(
+            self, whitehead_diagram, monkeypatch):
+        # steps stay on image lists: build_cube makes one Permutation per
+        # full smoothing, and compares the formula with the trace on every
+        # one of the 2^(k+1) - 2 steps
+        k = whitehead_diagram.k
+        built, compared = [], []
+        init = Permutation.__init__
+
+        def counting_init(self, images):
+            built.append(1)
+            init(self, images)
+
+        class Compared(list):
+            __hash__ = None
+
+            def __eq__(self, other):
+                compared.append(1)
+                return list.__eq__(self, other)
+
+            def __ne__(self, other):
+                compared.append(1)
+                return list.__ne__(self, other)
+
+        trace = cube_module._trace_images
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        monkeypatch.setattr(cube_module, "_trace_images",
+                            lambda *args: Compared(trace(*args)))
+        cube = build_cube(whitehead_diagram)
+        assert len(cube.vertices) == len(built) == 2 ** k
+        assert len(compared) == 2 ** (k + 1) - 2
 
 
 def sibling_relations(state, l):
@@ -398,6 +468,8 @@ class TestImageLists:
         assert as_perm(cube_module._left_swap(img, a, b)) == compose(T, p)
         assert as_perm(cube_module._right_swap(img, a, b)) == compose(p, T)
         assert tuple(cube_module._cycle_of(img, a)) == p.cycle_containing(a)
+        assert (cube_module._same_cycle(img, a, b)
+                == (b in p.cycle_containing(a)))
         assert (as_perm(cube_module._reversed_cycles(img, (a, b)))
                 == reverse_cycles(p, (a, b)))
         assert img == [0, *p.images]        # no helper edits its input
@@ -436,7 +508,53 @@ class TestStateInvariants:
             vertex_group(initial_state(trefoil_diagram))
 
 
+FIXTURES = ("trefoil9", "whitehead12", "kink5", "riii", "square",
+            "two_squares", "twist12")
+
+
+def reference_edges(vertices):
+    """The cube edges as tuples, each head word built anew from its tail:
+    the assembly before bit masks."""
+    edges = []
+    k = len(next(iter(vertices))) if vertices else 0
+    circles = {word: vx.c for word, vx in vertices.items()}
+    for pos in range(k):
+        for word, c_tail in circles.items():
+            if word[pos] != 0:
+                continue
+            letters = list(word)
+            letters[pos] = 1
+            head = tuple(letters)
+            c_head = circles[head]
+            assert abs(c_tail - c_head) == 1
+            letters[pos] = "*"
+            sign = -1 if word[:pos].count(1) % 2 else 1
+            kind = "merge" if c_head == c_tail - 1 else "split"
+            edges.append((tuple(letters), word, head, kind, sign))
+    return edges
+
+
 class TestEdges:
+    def test_edges_match_tuple_reference(self):
+        # same edges in the same order; tails and heads are the vertices'
+        # own words, and the dihedral factors hold the cycle tuples
+        diagrams = [build_good_diagram(load_fixture(name), DIR_Z)
+                    for name in FIXTURES]
+        diagrams += [random_diagram(random.Random(seed))[0]
+                     for seed in range(10)]
+        for diagram in diagrams:
+            cube = build_cube(diagram)
+            assert list(cube.edges) == reference_edges(cube.vertices)
+            words = {id(word) for word in cube.vertices}
+            assert all(id(edge.tail) in words and id(edge.head) in words
+                       for edge in cube.edges)
+            for word, vx in cube.vertices.items():
+                assert vx.word is word
+                cycles = vx.state.successor.cycles()
+                assert all(g.cycle is c for g, c in zip(vx.groups, cycles))
+                cycles.clear()
+                assert len(vx.state.successor.cycles()) == vx.c
+
     def test_edge_count_and_star_words(self, trefoil_cube):
         assert len(trefoil_cube.edges) == 3 * 2 ** 2
         for edge in trefoil_cube.edges:

@@ -13,6 +13,15 @@ from polykh import load_fixture
 from conftest import DIR_Z, random_diagram
 
 
+def index_sets(diagram):
+    """(I, V, K): overcrossing starts, undercrossing starts, the rest."""
+    I = frozenset(c.i for c in diagram.crossings)
+    V = frozenset(c.v for c in diagram.crossings)
+    assert not I & V, f"indices both over and under: {sorted(I & V)}"
+    K = frozenset(range(1, diagram.n + 1)) - I - V
+    return I, V, K
+
+
 def quadruples(diagram):
     return [(cr.i, cr.j, cr.v, cr.w, cr.sign) for cr in diagram.crossings]
 
@@ -28,7 +37,7 @@ class TestTrefoil:
                 trefoil_diagram.k_minus) == (3, 3, 0)
 
     def test_index_sets(self, trefoil_diagram):
-        I, V, K = trefoil_diagram.index_sets()
+        I, V, K = index_sets(trefoil_diagram)
         assert I == {3, 6, 9} and V == {8, 2, 5}
         assert K == {1, 4, 7}
 

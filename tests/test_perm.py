@@ -74,6 +74,14 @@ class TestCycles:
         flat = [x for c in p.cycles() for x in c]
         assert sorted(flat) == list(range(1, 12))
 
+    def test_cycles_returns_a_new_list(self):
+        p = parse_cycles("(1,9,3)(4,11,7)", 11)
+        first = p.cycles()
+        first[0] = (5,)
+        first.append((1, 2))
+        assert p.cycles() == [(1, 9, 3), (2,), (4, 11, 7), (5,), (6,),
+                              (8,), (10,)]
+
     @given(rand_perm(8))
     def test_cycle_notation_round_trip(self, p):
         assert parse_cycles(p.cycle_str(), 8) == p
