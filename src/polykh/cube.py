@@ -193,9 +193,9 @@ def _right_swap(p: list[int], a: int, b: int) -> list[int]:
 
 
 def _reflection(p: list[int], a: int, b: int) -> list[int]:
-    """reflection_in(p, a, b): writing the cycle of p through a as
-    c_0 = a, c_1, ..., c_{d-1}, c_x goes to c_{(s - x) mod d} with
-    c_s = b; every other index is fixed."""
+    """The dihedral reflection exchanging a and b: writing the cycle of p
+    through a as c_0 = a, c_1, ..., c_{d-1}, c_x goes to c_{(s - x) mod d}
+    with c_s = b; every other index is fixed."""
     cyc = _cycle_of(p, a)
     if b not in cyc:
         raise CubeError(f"{a} and {b} lie in different cycles")
@@ -238,7 +238,8 @@ def _formula_images(crossing: CrossingRecord, s: list[int],
     One of the two choices is a single transposition composition; the other
     additionally conjugates by a dihedral reflection.  The formulas are
     evaluated on image lists; the comment above each line gives it in the
-    algebra of the perm module, with T(a, b) the transposition of a and b.
+    algebra of the perm module, with T(a, b) the transposition of a and b
+    and reflection_in(p, a, b) the reflection that _reflection computes.
     """
     i, j, v, w = crossing.quadruple
     eps = crossing.sign

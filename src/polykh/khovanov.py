@@ -14,11 +14,16 @@ offset + mask sits where itertools.product((x_plus, x_minus), repeat=n) puts
 its labels.  m and Delta change the bits of the two or three circles they
 touch; the other bits move as one block.
 
-Storage.  d^i is one block per cube edge, each entry the edge's sign.  A
+Storage.  The complex keeps nothing per generator or per circle.  A degree
+keeps, per vertex, its word, offset, circle count n and top, the j of mask
+0; generator mask has j = top - 2 popcount(mask), and j_grading reads it
+from there.  While the complex is built, a circle is the bit mask of its
+members.  d^i is one block per cube edge, each entry the edge's sign.  A
 block's pattern depends only on (kind, n, a, b, c), and T(2,10) has 54 such
 edge maps among 5120 edges, so each is one table, table[t] the sorted head
-masks of tail mask t.  A tail vertex lists its out-edges as (head offset,
-sign, table index) by head offset.  Nothing is stored per column or entry.
+masks of tail mask t, and equal rows of different tables are one tuple.  A
+tail vertex lists its out-edges as (head offset, sign, table index) by head
+offset.
 
 Gates.  Both run on the stored blocks of every complex.  Shape and q, once
 per distinct (table, n_v, n_w, top_v - top_w), top the j of mask 0: signs
@@ -32,12 +37,14 @@ types among 11,520 squares), and each type is checked once per build_complex
 by comparing the sorted entries of its + and - composites.
 
 Rank.  d preserves j, so each d^i splits into (i, j) blocks, and each block
-is reduced on its own with integers only.  A row is reduced at the column c
-of a pivot row p as  row - row[c]*p[c]*p  when p[c] = +-1, and otherwise as
-a*row - b*p with a = p[c], b = row[c], divided by the gcd of its entries.
-Both are invertible row operations over Q (a != 0), so the row space, and
-with it the rank over Q, is that of Gaussian elimination over the
-rationals, without a single Fraction.
+is reduced on its own with integers only, one at a time: its columns are
+listed from the vertex tops, as the masks of popcount (top - j) / 2, and its
+pivots are dropped before the next block starts.  A row is reduced at the
+column c of a pivot row p as  row - row[c]*p[c]*p  when p[c] = +-1, and
+otherwise as a*row - b*p with a = p[c], b = row[c], divided by the gcd of
+its entries.  Both are invertible row operations over Q (a != 0), so the
+row space, and with it the rank over Q, is that of Gaussian elimination
+over the rationals, without a single Fraction.
 
 Complement rule.  The pivots of block (i-1, j) span im d^(i-1) and have
 distinct leading generators Y, so C^(i,j) = im d^(i-1) + span{e_b : b not in
@@ -56,7 +63,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import gcd
+from math import comb, gcd
 from operator import and_, eq, ge, ne, sub
 
 from .cube import Cube
@@ -209,23 +216,36 @@ class DegreeBasis(Sequence):
     """The generators of one homological degree, as (word, mask) pairs.
 
     Vertices come in lexicographic word order; a vertex with n circles owns
-    the 2^n indices ``offset + mask``, mask < 2^n.
+    the 2^n indices ``offset + mask``, mask < 2^n, and generator mask has
+    j = top - 2 popcount(mask), top the vertex's j of mask 0.
     """
 
     def __init__(self):
         self.words: list[tuple[int, ...]] = []
         self.offsets: list[int] = []
         self.circles: list[int] = []
+        self.tops: list[int] = []
         self.size = 0
 
-    def add_vertex(self, word: tuple[int, ...], n_circles: int) -> int:
+    def add_vertex(self, word: tuple[int, ...], n_circles: int,
+                   top: int) -> int:
         """Append a vertex's generators; returns its offset."""
         offset = self.size
         self.words.append(word)
         self.offsets.append(offset)
         self.circles.append(n_circles)
+        self.tops.append(top)
         self.size += 1 << n_circles
         return offset
+
+    def j_counts(self) -> Counter:
+        """j -> the number of generators with that j: a vertex has
+        C(n, p) generators of j = top - 2p."""
+        counts: Counter = Counter()
+        for top, n in zip(self.tops, self.circles):
+            for p in range(n + 1):
+                counts[top - 2 * p] += comb(n, p)
+        return counts
 
     def __len__(self):
         return self.size
@@ -235,6 +255,30 @@ class DegreeBasis(Sequence):
             raise IndexError(index)
         t = bisect_right(self.offsets, index) - 1
         return self.words[t], index - self.offsets[t]
+
+
+class Gradings(Sequence):
+    """The j of each generator of one degree, read from the vertex tops."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: DegreeBasis):
+        self.basis = basis
+
+    def __len__(self):
+        return len(self.basis)
+
+    def __getitem__(self, index):
+        basis = self.basis
+        if not 0 <= index < basis.size:
+            raise IndexError(index)
+        t = bisect_right(basis.offsets, index) - 1
+        return basis.tops[t] - 2 * (index - basis.offsets[t]).bit_count()
+
+    def __iter__(self):
+        for top, n in zip(self.basis.tops, self.basis.circles):
+            for mask in range(1 << n):
+                yield top - 2 * mask.bit_count()
 
 
 class Differential(Mapping):
@@ -277,7 +321,7 @@ class KhovanovComplex:
     k_plus: int
     k_minus: int
     basis: dict[int, DegreeBasis]                   # i -> ordered basis
-    j_grading: dict[int, list[int]]                 # i -> j per basis element
+    j_grading: dict[int, Gradings]                  # i -> j per basis element
     differentials: dict[int, Differential]          # i -> {(row, col): c}
 
     @property
@@ -285,11 +329,10 @@ class KhovanovComplex:
         return sorted(self.basis)
 
     def chain_euler(self) -> LaurentPoly:
-        coeffs: dict[int, int] = {}
-        for i, js in self.j_grading.items():
-            sign = (-1) ** i
-            for j in js:
-                coeffs[j] = coeffs.get(j, 0) + sign
+        coeffs: Counter = Counter()
+        for i, degree in self.basis.items():
+            for j, count in degree.j_counts().items():
+                coeffs[j] += (-1) ** i * count
         return LaurentPoly(coeffs)
 
 
@@ -310,31 +353,26 @@ def build_complex(cube: Cube) -> KhovanovComplex:
 
 def _assemble(cube: Cube) -> KhovanovComplex:
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
-    # each vertex's circles as a dict circle -> index, in circle order
-    circles = {word: {frozenset(g.cycle): ix for ix, g in enumerate(vx.groups)}
+    # each vertex's circles as a dict circle -> index, in circle order, a
+    # circle as the bit mask of its members
+    circles = {word: {sum(map((1).__lshift__, g.cycle)): ix
+                      for ix, g in enumerate(vx.groups)}
                for word, vx in cube.vertices.items()}
 
     basis: dict[int, DegreeBasis] = {}
-    j_grading: dict[int, list[int]] = {}
     offset: dict[tuple, int] = {}
-    popcounts: dict[int, bytes] = {}
     for word in sorted(cube.vertices):
         r = sum(word)
-        i = r - km
         n = len(circles[word])
-        offset[word] = basis.setdefault(i, DegreeBasis()).add_vertex(word, n)
-        if n not in popcounts:
-            popcounts[n] = bytes(mask.bit_count() for mask in range(1 << n))
-        # j of a generator with p minus labels; the generators share these
-        # int objects, where one each would cost 28 bytes outside -5..256
-        top = n + r + kp - 2 * km
-        js = list(range(top, top - 2 * n - 1, -2))
-        j_grading.setdefault(i, []).extend(map(js.__getitem__, popcounts[n]))
+        offset[word] = basis.setdefault(r - km, DegreeBasis()).add_vertex(
+            word, n, n + r + kp - 2 * km)
 
     # few edges differ in (kind, n, a, b, c): T(2,10) has 54 among 5120,
-    # and all edges with one key share one table
+    # and all edges with one key share one table; equal rows of different
+    # tables share one tuple
     tables: list[tuple[tuple[int, ...], ...]] = []
     table_of: dict[tuple, int] = {}
+    pool: dict[tuple, tuple] = {}
     out_edges: dict[tuple, list] = defaultdict(list)
     for edge in cube.edges:
         tail_c, head_c = circles[edge.tail], circles[edge.head]
@@ -347,13 +385,15 @@ def _assemble(cube: Cube) -> KhovanovComplex:
             for t, h in _edge_images(*key):
                 rows[t].append(h)
             # from a list: regrowing tuple(map(...)) fragmented the heap
-            tables.append(tuple([tuple(sorted(row)) for row in rows]))
+            tables.append(tuple([pool.setdefault(row, row)
+                                 for row in map(tuple, map(sorted, rows))]))
         out_edges[edge.tail].append(
             (offset[edge.head], edge.sign, table_of[key]))
     diffs = {i: Differential(
         degree, [tuple(sorted(out_edges[w])) for w in degree.words], tables)
         for i, degree in basis.items()}
-    return KhovanovComplex(kp, km, basis, j_grading, diffs)
+    return KhovanovComplex(kp, km, basis,
+                           {i: Gradings(b) for i, b in basis.items()}, diffs)
 
 
 def _match(two, one):
@@ -405,11 +445,11 @@ def _edge_images(kind: str, n: int, a: int, b: int, c: int):
 def _check_q_grading(complex_: KhovanovComplex) -> None:
     """The shape and q gate of the module docstring: signs, head offsets,
     and each distinct (table, n_v, n_w, top_v - top_w) once."""
-    basis, js = complex_.basis, complex_.j_grading
+    basis = complex_.basis
     checked: set[tuple] = set()
     for i, d in complex_.differentials.items():
         heads = basis[i + 1].offsets if i + 1 in basis else []
-        for off, n, edges in zip(d.basis.offsets, d.basis.circles, d.edges):
+        for n, top, edges in zip(d.basis.circles, d.basis.tops, d.edges):
             w = -1
             for h_off, sign, tix in edges:
                 if sign != 1 and sign != -1:
@@ -419,7 +459,7 @@ def _check_q_grading(complex_: KhovanovComplex) -> None:
                     raise KhovanovError(f"edge head {h_off} of degree {i} is "
                                         f"not a later vertex offset")
                 key = (tix, n, basis[i + 1].circles[w],
-                       js[i][off] - js[i + 1][h_off])
+                       top - basis[i + 1].tops[w])
                 if key not in checked:
                     _check_table(d.tables[tix], *key[1:])
                     checked.add(key)
@@ -540,6 +580,9 @@ def homology(complex_: KhovanovComplex) -> dict[tuple[int, int], int]:
     """Dimensions of the rational homology per bidegree (i, j)."""
     dims: dict[tuple[int, int], int] = {}
     ranks: dict[tuple[int, int], int] = {}
+    counts = {i: b.j_counts() for i, b in complex_.basis.items()}
+    # masks[n][p]: the n-bit masks of popcount p, increasing
+    masks: dict[int, list[list[int]]] = {}
 
     # a block's columns are _pivots's rows, so a pivot's key is a generator
     # of the next degree; leading[i] flags those of d^(i-1), which block
@@ -547,42 +590,47 @@ def homology(complex_: KhovanovComplex) -> dict[tuple[int, int], int]:
     leading: dict[int, bytearray] = {}
     for i in sorted(complex_.differentials):
         d = complex_.differentials[i]
-        j_src = complex_.j_grading[i]
-        skip = leading.pop(i, None) or bytearray(len(j_src))
+        degree = d.basis
+        skip = leading.pop(i, None) or bytearray(len(degree))
         lead = leading[i + 1] = bytearray(
-            len(complex_.j_grading.get(i + 1, ())))
-
-        # per j, the first column with each leading (lowest) row is a pivot
-        # as it stands; only the others are reduced, and only the pivots
-        # they meet are expanded into dicts
-        blocks: dict[int, tuple[dict, list[int]]] = defaultdict(
-            lambda: ({}, []))
-        for off, n, edges in zip(d.basis.offsets, d.basis.circles, d.edges):
-            # edges come by head offset, so a column's leading row is in
-            # the first edge whose table row is not empty
-            rows = [(h_off, d.tables[tix]) for h_off, _, tix in edges]
-            for t in range(1 << n):
-                if skip[off + t]:
+            len(complex_.basis[i + 1]) if i + 1 in complex_.basis else 0)
+        for n in set(degree.circles) - masks.keys():
+            masks[n] = [[] for _ in range(n + 1)]
+            for mask in range(1 << n):
+                masks[n][mask.bit_count()].append(mask)
+        for j in sorted(counts[i]):
+            # the first column with each leading (lowest) row is a pivot as
+            # it stands; only the others are reduced, and only the pivots
+            # they meet are expanded into dicts
+            pivots: dict[int, dict | int] = {}
+            rest: list[int] = []
+            for off, n, top, edges in zip(degree.offsets, degree.circles,
+                                          degree.tops, d.edges):
+                p, odd = divmod(top - j, 2)
+                if odd or not 0 <= p <= n:
                     continue
-                for h_off, table in rows:
-                    if table[t]:
-                        first, rest = blocks[j_src[off + t]]
-                        row = h_off + table[t][0]
-                        if row in first:
-                            rest.append(off + t)
-                        else:
-                            first[row] = off + t
-                        break
-        while blocks:
-            j, (pivots, rest) = blocks.popitem()
+                # edges come by head offset, so a column's leading row is
+                # in the first edge whose table row is not empty
+                rows = [(h_off, d.tables[tix]) for h_off, _, tix in edges]
+                for t in masks[n][p]:
+                    if skip[off + t]:
+                        continue
+                    for h_off, table in rows:
+                        if table[t]:
+                            row = h_off + table[t][0]
+                            if row in pivots:
+                                rest.append(off + t)
+                            else:
+                                pivots[row] = off + t
+                            break
             _pivots(map(d.column, rest), pivots, d.column)
             ranks[(i, j)] = len(pivots)
             for row in pivots:
                 lead[row] = 1
-            del pivots      # before the next block's pivots are expanded
+            del pivots, rest    # before the next block's pivots are built
 
-    for i, js in complex_.j_grading.items():
-        for j, c in Counter(js).items():
+    for i, js in counts.items():
+        for j, c in js.items():
             dim = c - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
             if dim < 0:
                 raise KhovanovError("negative homology dimension (rank bug)")

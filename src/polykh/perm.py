@@ -178,36 +178,3 @@ class DihedralFactor:
         """Order of the dihedral factor: 2d for d >= 3, else d (bigon: 2, point: 1)."""
         d = len(self.cycle)
         return 2 * d if d >= 3 else d
-
-    def rotation(self, n: int) -> Permutation:
-        return Permutation.from_cycles(n, [self.cycle])
-
-
-def reflection_xi(factor: DihedralFactor, a: int, b: int, n: int) -> Permutation:
-    """The reflection of the dihedral group on ``factor.cycle`` exchanging a and b.
-
-    Writing the cycle as c_0..c_{d-1}, the reflection r_s(c_x) = c_{(s-x) mod d}
-    with s = pos(a) + pos(b) is the unique element of order <= 2 swapping a and b.
-    Indices outside the factor are fixed.
-    """
-    cyc = factor.cycle
-    if a == b:
-        raise PermError("reflection needs two distinct indices")
-    try:
-        pa, pb = cyc.index(a), cyc.index(b)
-    except ValueError as exc:
-        raise PermError(f"{a},{b} not both members of cycle {cyc}") from exc
-    d = len(cyc)
-    s = pa + pb
-    img = list(range(1, n + 1))
-    for x in range(d):
-        img[cyc[x] - 1] = cyc[(s - x) % d]
-    return Permutation(img)
-
-
-def reflection_in(perm: Permutation, a: int, b: int) -> Permutation:
-    """Reflection exchanging a and b inside the cycle of ``perm`` containing both."""
-    cyc = perm.cycle_containing(a)
-    if b not in cyc:
-        raise PermError(f"{a} and {b} lie in different cycles of {perm.cycle_str()}")
-    return reflection_xi(DihedralFactor(cyc), a, b, perm.n)

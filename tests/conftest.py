@@ -9,6 +9,7 @@ from hypothesis import settings, strategies as st
 from polykh import (PolygonalLink, LinkFileError, validate_link, load_fixture,
                     build_good_diagram, build_cube)
 from polykh import randlinks
+from polykh.perm import DihedralFactor, PermError, Permutation
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -82,6 +83,40 @@ def cycle_partition(perm):
         rev = (cyc[0],) + tuple(reversed(cyc[1:]))
         out.add(min(cyc, rev))
     return frozenset(out)
+
+
+def reflection_xi(factor: DihedralFactor, a: int, b: int,
+                  n: int) -> Permutation:
+    """The reflection of the dihedral group on ``factor.cycle`` exchanging a
+    and b: the reference that the cube's list formulas transcribe.
+
+    Writing the cycle as c_0..c_{d-1}, the reflection r_s(c_x) =
+    c_{(s-x) mod d} with s = pos(a) + pos(b) is the unique element of order
+    <= 2 swapping a and b.  Indices outside the factor are fixed.
+    """
+    cyc = factor.cycle
+    if a == b:
+        raise PermError("reflection needs two distinct indices")
+    try:
+        pa, pb = cyc.index(a), cyc.index(b)
+    except ValueError as exc:
+        raise PermError(f"{a},{b} not both members of cycle {cyc}") from exc
+    d = len(cyc)
+    s = pa + pb
+    img = list(range(1, n + 1))
+    for x in range(d):
+        img[cyc[x] - 1] = cyc[(s - x) % d]
+    return Permutation(img)
+
+
+def reflection_in(perm: Permutation, a: int, b: int) -> Permutation:
+    """Reflection exchanging a and b inside the cycle of ``perm`` containing
+    both."""
+    cyc = perm.cycle_containing(a)
+    if b not in cyc:
+        raise PermError(f"{a} and {b} lie in different cycles of "
+                        f"{perm.cycle_str()}")
+    return reflection_xi(DihedralFactor(cyc), a, b, perm.n)
 
 
 def random_link(rng: random.Random) -> PolygonalLink:

@@ -260,4 +260,4 @@ def test_criterion_8_twelve_crossing_stress(capsys):
     table = {(i, j): dim for i, j, dim in rows}
     # twist12 is T(2,12) with 12 negative crossings along (0, 0, 1)
     assert code == 0 and table == torus_table(12, -1)
-    assert elapsed < 60.0
+    assert elapsed < 20.0

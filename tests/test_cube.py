@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polykh.perm import (PermError, Permutation, compose, conjugate,
-                         parse_cycles, reflection_in)
+                         parse_cycles)
 from polykh import cube as cube_module
 from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
                          smooth_crossing_trace, vertex_group, build_cube,
                          _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
 
-from conftest import DIR_Z, cycle_partition, random_diagram
+from conftest import DIR_Z, cycle_partition, random_diagram, reflection_in
 
 
 def full_graph_trace(state, l, choice):

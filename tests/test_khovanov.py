@@ -1,6 +1,7 @@
 """Jones state sum, chain complex, and rational homology."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import lcm
@@ -19,6 +20,7 @@ from polykh.khovanov import (KhovanovError, LaurentPoly, jones_state_sum,
                              _check_q_grading, _pivots)
 from polykh import khovanov
 from polykh import build_good_diagram, build_cube, load_fixture
+from polykh.perm import DihedralFactor
 
 from conftest import DIR_Z, random_diagram, torus_table, twist_link
 
@@ -215,8 +217,10 @@ class TestComplex:
             build_complex(cube)
 
     def test_build_memory_per_generator(self):
-        # the compact storage costs about 130 bytes a generator at peak on
-        # T(2,8), a dict per column about 390
+        # with j per vertex, circles as bit masks and shared table rows the
+        # build peaks at about 50 bytes a generator on T(2,8); one j per
+        # generator and a frozenset per circle cost about 130, a dict per
+        # column about 390
         cube = build_cube(build_good_diagram(twist_link(8, 1), DIR_Z))
         tracemalloc.start()
         try:
@@ -225,7 +229,64 @@ class TestComplex:
         finally:
             tracemalloc.stop()
         generators = sum(len(b) for b in cx.basis.values())
-        assert peak / generators < 200
+        assert peak / generators < 90
+
+    def test_equal_table_rows_are_one_tuple(self, whitehead_diagram):
+        for cube in (build_cube(whitehead_diagram), build_cube(
+                build_good_diagram(twist_link(6, -1), DIR_Z))):
+            tables = build_complex(cube).differentials[0].tables
+            first: dict[tuple, tuple] = {}
+            rows = [row for table in tables for row in table]
+            assert len(set(rows)) < len(rows)
+            assert all(first.setdefault(row, row) is row for row in rows)
+
+    def test_j_grading_matches_generators(self):
+        # j = (#plus - #minus) + r + k_plus - 2 k_minus, per (word, mask)
+        cubes = [build_cube(build_good_diagram(load_fixture(name), DIR_Z))
+                 for name in ("square", "two_squares", "trefoil9",
+                              "whitehead12", "kink5", "riii")]
+        cubes += [build_cube(random_diagram(random.Random(seed))[0])
+                  for seed in range(10)]
+        for cube in cubes:
+            kp, km = cube.diagram.k_plus, cube.diagram.k_minus
+            cx = build_complex(cube)
+            assert cx.j_grading.keys() == cx.basis.keys()
+            for i, degree in cx.basis.items():
+                reference = [cube.vertices[word].c - 2 * mask.bit_count()
+                             + sum(word) + kp - 2 * km
+                             for word, mask in degree]
+                js = cx.j_grading[i]
+                assert len(js) == len(reference)
+                assert list(js) == reference
+                assert [js[g] for g in range(len(js))] == reference
+                for outside in (len(js), -1):
+                    with pytest.raises(IndexError):
+                        js[outside]
+            assert cx.chain_euler() == jones_state_sum(cube)
+
+    def test_edge_changing_three_circles_rejected(self):
+        # kink5's one edge splits (1 5 4 2 3) into (1 4 5) and (2 3); the
+        # head tampered to (1 4) (5) (2 3) makes it change three circles
+        cube = build_cube(build_good_diagram(load_fixture("kink5"), DIR_Z))
+        head = cube.vertices[(1,)]
+        assert [g.cycle for g in head.groups] == [(1, 4, 5), (2, 3)]
+        cube.vertices[(1,)] = replace(head, groups=(
+            DihedralFactor((1, 4)), DihedralFactor((2, 3)),
+            DihedralFactor((5,))))
+        with pytest.raises(KhovanovError, match="^edge does not merge or "
+                           "split exactly two circles$"):
+            build_complex(cube)
+
+    def test_merged_circle_losing_a_member_rejected(self):
+        # the tail's one circle, the union of the head's two, loses member 3
+        cube = build_cube(build_good_diagram(load_fixture("kink5"), DIR_Z))
+        tail = cube.vertices[(0,)]
+        assert [g.cycle for g in tail.groups] == [(1, 5, 4, 2, 3)]
+        cube.vertices[(0,)] = replace(tail, groups=(
+            DihedralFactor((1, 5, 4, 2)),))
+        with pytest.raises(KhovanovError,
+                           match="^merged circle membership mismatch$"):
+            build_complex(cube)
 
 
 def _pairs(table):
@@ -458,6 +519,20 @@ class TestHomology:
         for cube in cubes:
             cx = build_complex(cube)
             assert homology(cx) == _full_rank_homology(cx)
+
+    def test_homology_memory_per_generator(self):
+        # one (i, j) block at a time peaks at about 17 bytes a generator on
+        # the negative T(2,8), a whole degree's blocks at once at about 23
+        cx = build_complex(build_cube(
+            build_good_diagram(twist_link(8, -1), DIR_Z)))
+        tracemalloc.start()
+        try:
+            table = homology(cx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table == torus_table(8, -1)
+        assert peak / sum(len(b) for b in cx.basis.values()) < 20
 
     def test_tsv_format(self):
         assert homology_tsv({(0, 1): 1, (0, -1): 1}) == "0\t-1\t1\n0\t1\t1\n"

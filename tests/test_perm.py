@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polykh.perm import (PermError, Permutation, DihedralFactor, compose,
-                         inverse, conjugate, parse_cycles, reflection_xi)
+                         inverse, conjugate, parse_cycles)
+
+from conftest import reflection_xi
 
 
 def rand_perm(n):
@@ -121,5 +123,5 @@ class TestDihedralFactor:
                 assert xi(a) == b and xi(b) == a
                 assert compose(xi, xi) == Permutation.identity(9)
                 # conjugating the rotation inverts it: xi r xi = r^-1
-                r = f.rotation(9)
+                r = Permutation.from_cycles(9, [f.cycle])
                 assert conjugate(r, xi) == r.inverse()
