@@ -31,9 +31,9 @@ from .perm import PermError
 DOMAIN_ERRORS = (GeometryError, DiagramError, CubeError, KhovanovError,
                  MoveError, PermError)
 
-# `polykh homology` peaks at about 30 bytes of RSS per generator at scale
-# (T(2,14): 152 MB for 4,782,972; twist12: 40 MB for 531,444; 18 MB of
-# each is the interpreter), so 10M generators take about 300 MB.
+# `polykh homology` peaks at about 16 bytes of RSS per generator at scale
+# (T(2,14): 92 MB for 4,782,972; twist12: 30 MB for 531,444; 18 MB of
+# each is the interpreter), so 10M generators take about 170 MB.
 DEFAULT_MAX_GENERATORS = 10_000_000
 
 

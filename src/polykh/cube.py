@@ -11,16 +11,24 @@ agree exactly.
 
 The steps run on image lists: a list s with s[0] = 0 and s[x] = sigma(x)
 stands for sigma.  Both oracles map a list to a new list, and the two lists
-are compared at every step.  A Permutation, its cycles and the dihedral
-factors are built once per full smoothing, and the cube's edges hold the
-vertices' own word tuples.
+are compared at every step.  A Permutation is built once per full smoothing.
+Its circles are interned through a pool that lives for one build, so each
+distinct oriented circle is one cycle tuple and one DihedralFactor, shared
+by every vertex that has it.
+
+An edge is fixed by its two vertices: the star position, the two words and
+the change in circle count.  So nothing is stored per edge; ``Cube.edges``
+is a read-only view that reads them from the vertices, and the check that
+every edge changes the circle count by exactly one runs once when a cube is
+made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .diagram import GoodDiagram, CrossingRecord
 from .perm import Permutation, PermError, DihedralFactor
@@ -161,7 +169,7 @@ def _trace_images(crossing: CrossingRecord, s: list[int],
 
 
 def _cycle_of(p: list[int], x: int) -> list[int]:
-    """perm.cycle_containing(x)."""
+    """The cycle of p through x, starting at x."""
     cyc = [x]
     y = p[x]
     while y != x:
@@ -171,7 +179,7 @@ def _cycle_of(p: list[int], x: int) -> list[int]:
 
 
 def _same_cycle(p: list[int], x: int, y: int) -> bool:
-    """y in perm.cycle_containing(x)."""
+    """Whether y lies on the cycle of p through x."""
     z = p[x]
     while z != x and z != y:
         z = p[z]
@@ -387,12 +395,78 @@ class CubeEdge(NamedTuple):
     sign: int                 # (-1)^(number of 1s left of the star)
 
 
+_STAR = ("*",)
+
+
+class CubeEdges(Sequence):
+    """The edges between adjacent full smoothings, read from the vertices.
+
+    Edges come position by position, each in the order of ``vertices``; a
+    word is read as the bit mask of its 1s, tail and head are the vertices'
+    own word tuples, the kind follows the change in circle count and the
+    sign is the parity of the 1s left of the star.  Nothing is stored per
+    edge: every walk reads the vertices as they are then.
+    """
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: dict[tuple[int, ...], CubeVertex]):
+        self.vertices = vertices
+
+    @property
+    def _k(self) -> int:
+        return len(next(iter(self.vertices))) if self.vertices else 0
+
+    def __len__(self) -> int:
+        return self._k << self._k >> 1
+
+    def _walk(self):
+        """(pos, tail, head, c_tail, c_head, sign) of every edge, in order."""
+        bits = [1 << pos for pos in range(self._k)]
+        rows = [(sum(compress(bits, word)), word, len(vx.groups))
+                for word, vx in self.vertices.items()]
+        by_mask = {mask: (word, c) for mask, word, c in rows}
+        for pos, bit in enumerate(bits):
+            left = bit - 1
+            for mask, tail, c_tail in rows:
+                if not mask & bit:
+                    head, c_head = by_mask[mask | bit]
+                    yield (pos, tail, head, c_tail, c_head,
+                           -1 if (mask & left).bit_count() & 1 else 1)
+
+    def core(self):
+        """(tail, head, kind, sign) of every edge, in order, without star
+        words.  The kind is read from the circle counts and checked by
+        nothing: a cube's counts were checked when it was made."""
+        for _, tail, head, c_tail, c_head, sign in self._walk():
+            yield tail, head, "merge" if c_head < c_tail else "split", sign
+
+    def check(self) -> None:
+        """Every edge merges or splits: its circle count changes by one."""
+        for _, tail, head, c_tail, c_head, _ in self._walk():
+            if c_head - c_tail not in (1, -1):
+                raise CubeError(f"edge {tail}->{head}: circle count changed "
+                                f"by {c_head - c_tail}")
+
+    def __iter__(self):
+        for pos, tail, head, c_tail, c_head, sign in self._walk():
+            # CubeEdge(star_word, tail, head, kind, sign), without the
+            # Python-level __new__ of a NamedTuple
+            yield tuple.__new__(CubeEdge, (
+                tail[:pos] + _STAR + tail[pos + 1:], tail, head,
+                "merge" if c_head < c_tail else "split", sign))
+
+    def __getitem__(self, index):
+        """Edge or slice by position; walks the cube."""
+        return tuple(self)[index]
+
+
 @dataclass(frozen=True)
 class Cube:
     diagram: GoodDiagram
     order: tuple[int, ...]
     vertices: dict[tuple[int, ...], CubeVertex]
-    edges: tuple[CubeEdge, ...]
+    edges: CubeEdges = field(compare=False)     # fixed by the vertices
 
     @property
     def k(self) -> int:
@@ -403,16 +477,25 @@ class Cube:
 
 
 def _full_smoothing(diagram: GoodDiagram, word: tuple[int, ...],
-                   images: list[int]) -> CubeVertex:
+                   images: list[int], circles: dict) -> CubeVertex:
     """The cube vertex of the full smoothing with image list ``images``.
 
     Its one Permutation checks that the list is a bijection; the circles are
-    walked once, and the dihedral factors hold the permutation's own cycle
-    tuples.
+    walked once and interned through ``circles``, the build's pool of
+    DihedralFactors by cycle tuple.
     """
     successor = Permutation(images[1:])
     return CubeVertex(word, SmoothingState(diagram, word, successor),
-                      tuple(map(DihedralFactor, successor.cycles())))
+                      successor.dihedral_factors(circles))
+
+
+def _made_cube(diagram: GoodDiagram, order: tuple[int, ...],
+               vertices: dict[tuple[int, ...], CubeVertex]) -> Cube:
+    """The cube over ``vertices``, once every edge is checked to change the
+    circle count by exactly one."""
+    edges = CubeEdges(vertices)
+    edges.check()
+    return Cube(diagram, order, vertices, edges)
 
 
 def build_cube(diagram: GoodDiagram,
@@ -433,63 +516,26 @@ def build_cube(diagram: GoodDiagram,
     vertices: dict[tuple[int, ...], CubeVertex] = {}
     # sigma of the word of all 2s: the component successors
     s = [0, *map(diagram.successor, range(1, diagram.n + 1))]
-    _descend(diagram, order, 0, (2,) * k, s, vertices)
-    return Cube(diagram, order, vertices, assemble_edges(vertices))
+    _descend(diagram, order, 0, (2,) * k, s, vertices, {})
+    return _made_cube(diagram, order, vertices)
 
 
 def _descend(diagram: GoodDiagram, order: tuple[int, ...], depth: int,
-             word: tuple[int, ...], s: list[int], vertices: dict) -> None:
+             word: tuple[int, ...], s: list[int], vertices: dict,
+             circles: dict) -> None:
     """Resolve the crossings ``order[depth:]`` names, choice 0 before
-    choice 1, and put every full smoothing into ``vertices``.
+    choice 1, and put every full smoothing into ``vertices``, its circles
+    interned through ``circles``.
 
     A module-level function, not a closure over ``vertices``: a recursive
     closure is a reference cycle, which kept every cube alive until the
     next full garbage collection.
     """
     if depth == len(order):
-        vertices[word] = _full_smoothing(diagram, word, s)
+        vertices[word] = _full_smoothing(diagram, word, s, circles)
         return
     l = order[depth]
     for choice in (0, 1):
         _descend(diagram, order, depth + 1,
                  word[:l - 1] + (choice,) + word[l:],
-                 _step(diagram, word, s, l, choice), vertices)
-
-
-_STAR = ("*",)
-
-
-def assemble_edges(vertices: dict[tuple[int, ...], CubeVertex]) -> tuple[CubeEdge, ...]:
-    """All cube edges between adjacent full smoothings, with signs and kinds.
-
-    Edges come position by position, each in the order of ``vertices``.
-    A word is read as the bit mask of its 1s; an edge's tail and head are
-    the vertices' own word tuples, and its sign is the parity of the 1s
-    left of the star.
-    """
-    k = len(next(iter(vertices))) if vertices else 0
-    bits = [1 << pos for pos in range(k)]
-    rows = []                       # (mask, word, circles), in vertex order
-    by_mask = {}
-    for word, vx in vertices.items():
-        mask = sum(compress(bits, word))
-        rows.append((mask, word, len(vx.groups)))
-        by_mask[mask] = (word, len(vx.groups))
-    edges = []
-    for pos, bit in enumerate(bits):
-        left = bit - 1
-        for mask, tail, c_tail in rows:
-            if mask & bit:
-                continue
-            head, c_head = by_mask[mask | bit]
-            if c_head - c_tail not in (1, -1):
-                raise CubeError(
-                    f"edge {tail}->{head}: circle count changed by "
-                    f"{c_head - c_tail}")
-            # CubeEdge(star_word, tail, head, kind, sign), without the
-            # Python-level __new__ of a NamedTuple
-            edges.append(tuple.__new__(CubeEdge, (
-                tail[:pos] + _STAR + tail[pos + 1:], tail, head,
-                "merge" if c_head < c_tail else "split",
-                -1 if (mask & left).bit_count() & 1 else 1)))
-    return tuple(edges)
+                 _step(diagram, word, s, l, choice), vertices, circles)

@@ -374,11 +374,11 @@ def _assemble(cube: Cube) -> KhovanovComplex:
     table_of: dict[tuple, int] = {}
     pool: dict[tuple, tuple] = {}
     out_edges: dict[tuple, list] = defaultdict(list)
-    for edge in cube.edges:
-        tail_c, head_c = circles[edge.tail], circles[edge.head]
-        (a, b), c = (_match(tail_c, head_c) if edge.kind == "merge"
+    for tail, head, kind, sign in cube.edges.core():
+        tail_c, head_c = circles[tail], circles[head]
+        (a, b), c = (_match(tail_c, head_c) if kind == "merge"
                      else _match(head_c, tail_c))
-        key = (edge.kind, len(tail_c), a, b, c)
+        key = (kind, len(tail_c), a, b, c)
         if key not in table_of:
             table_of[key] = len(tables)
             rows: list[list[int]] = [[] for _ in range(1 << len(tail_c))]
@@ -387,8 +387,7 @@ def _assemble(cube: Cube) -> KhovanovComplex:
             # from a list: regrowing tuple(map(...)) fragmented the heap
             tables.append(tuple([pool.setdefault(row, row)
                                  for row in map(tuple, map(sorted, rows))]))
-        out_edges[edge.tail].append(
-            (offset[edge.head], edge.sign, table_of[key]))
+        out_edges[tail].append((offset[head], sign, table_of[key]))
     diffs = {i: Differential(
         degree, [tuple(sorted(out_edges[w])) for w in degree.words], tables)
         for i, degree in basis.items()}

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .perm import Permutation
 from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       build_good_diagram, crossing_sign)
-from .cube import (Cube, SmoothingState, assemble_edges, _crossing_arcs,
-                   _cycle_of, _full_smoothing, _left_swap, _right_swap,
+from .cube import (Cube, SmoothingState, _crossing_arcs, _cycle_of,
+                   _full_smoothing, _left_swap, _made_cube, _right_swap,
                    _reversed_cycles)
 from .geometry import (PolygonalLink, DeformationError, seg2_intersection,
                        point_on_seg2, _point_in_triangle2, orient2,
@@ -481,6 +481,7 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
             "from the deformed diagram")
 
     vertices = {}
+    circles: dict = {}
     for word, vx in cube.vertices.items():
         s = [0, *vx.state.successor.images]
         if lc is not None:
@@ -492,9 +493,9 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
                         "recompute the cube from the deformed diagram")
                 continue
             word = word[:lc - 1] + word[lc:]
-        vertices[word] = _full_smoothing(diagram2, word, _substituted(s, a, p))
-    return Cube(diagram2, order2, vertices, assemble_edges(vertices)), \
-        provenance
+        vertices[word] = _full_smoothing(diagram2, word, _substituted(s, a, p),
+                                         circles)
+    return _made_cube(diagram2, order2, vertices), provenance
 
 
 # ---------------------------------------------------------------------------

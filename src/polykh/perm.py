@@ -73,15 +73,6 @@ class Permutation:
             inv[y - 1] = x
         return Permutation(inv)
 
-    def cycle_containing(self, x: int) -> tuple[int, ...]:
-        img = self.images
-        cyc = [x]
-        y = img[x - 1]
-        while y != x:
-            cyc.append(y)
-            y = img[y - 1]
-        return tuple(cyc)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated min-first, sorted by minimum.
 
@@ -107,6 +98,23 @@ class Permutation:
                 out.append(tuple(cyc))
             self._cycles = tuple(out)
         return list(self._cycles)
+
+    def dihedral_factors(self, pool: dict) -> tuple["DihedralFactor", ...]:
+        """One DihedralFactor per cycle, in the order of ``cycles()``.
+
+        ``pool`` maps each cycle tuple met so far to its factor; a cycle
+        found there takes that factor, and a new one is added.  The cached
+        cycles become the factors' own tuples, so permutations that share a
+        pool hold one tuple and one factor per distinct cycle.
+        """
+        factors = []
+        for cyc in self.cycles():
+            factor = pool.get(cyc)
+            if factor is None:
+                factor = pool[cyc] = DihedralFactor(cyc)
+            factors.append(factor)
+        self._cycles = tuple([f.cycle for f in factors])
+        return tuple(factors)
 
     def nontrivial_cycles(self) -> list[tuple[int, ...]]:
         return [c for c in self.cycles() if len(c) > 1]

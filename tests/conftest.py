@@ -1,5 +1,6 @@
 """Shared fixtures: bundled links, standard diagrams, seeded random links."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 import random
 
@@ -75,6 +76,17 @@ def square_link():
     return load_fixture("square")
 
 
+def cycle_containing(perm: Permutation, x: int) -> tuple[int, ...]:
+    """The cycle of ``perm`` through x, starting at x: the reference for the
+    cube's walks of one cycle on image lists."""
+    cyc = [x]
+    y = perm(x)
+    while y != x:
+        cyc.append(y)
+        y = perm(y)
+    return tuple(cyc)
+
+
 def cycle_partition(perm):
     """The cycles of ``perm``, each up to reversal: for comparing smoothings
     whose circles may be oriented independently."""
@@ -112,11 +124,55 @@ def reflection_xi(factor: DihedralFactor, a: int, b: int,
 def reflection_in(perm: Permutation, a: int, b: int) -> Permutation:
     """Reflection exchanging a and b inside the cycle of ``perm`` containing
     both."""
-    cyc = perm.cycle_containing(a)
+    cyc = cycle_containing(perm, a)
     if b not in cyc:
         raise PermError(f"{a} and {b} lie in different cycles of "
                         f"{perm.cycle_str()}")
     return reflection_xi(DihedralFactor(cyc), a, b, perm.n)
+
+
+def reference_edges(vertices):
+    """The cube edges as tuples, each head word built anew from its tail:
+    the assembly before bit masks."""
+    edges = []
+    k = len(next(iter(vertices))) if vertices else 0
+    circles = {word: vx.c for word, vx in vertices.items()}
+    for pos in range(k):
+        for word, c_tail in circles.items():
+            if word[pos] != 0:
+                continue
+            letters = list(word)
+            letters[pos] = 1
+            head = tuple(letters)
+            c_head = circles[head]
+            assert abs(c_tail - c_head) == 1
+            letters[pos] = "*"
+            sign = -1 if word[:pos].count(1) % 2 else 1
+            kind = "merge" if c_head == c_tail - 1 else "split"
+            edges.append((tuple(letters), word, head, kind, sign))
+    return edges
+
+
+def miscounted(full_smoothing, word, delta):
+    """``full_smoothing`` with vertex ``word`` given ``delta`` (+1 or -1)
+    circles more, so that each of its edges changes the count by 0 or 2."""
+    def wrapped(diagram, w, images, circles):
+        vx = full_smoothing(diagram, w, images, circles)
+        if w != word:
+            return vx
+        return replace(vx, groups=(vx.groups + vx.groups[:1] if delta > 0
+                                   else vx.groups[1:]))
+    return wrapped
+
+
+def miscount_message(cube, word, delta):
+    """The circle-count check's message for the first edge of ``cube`` at
+    vertex ``word``, once that vertex has ``delta`` circles more."""
+    edge = next(e for e in cube.edges if word in (e.tail, e.head))
+    c_tail, c_head = (cube.vertices[w].c + (delta if w == word else 0)
+                      for w in (edge.tail, edge.head))
+    return (f"edge {edge.tail}->{edge.head}: circle count changed by "
+            f"{c_head - c_tail}")
 
 
 def random_link(rng: random.Random) -> PolygonalLink:

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,9 @@ from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
                          _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
 
-from conftest import DIR_Z, cycle_partition, random_diagram, reflection_in
+from conftest import (DIR_Z, cycle_containing, cycle_partition, miscounted,
+                      miscount_message, random_diagram, reference_edges,
+                      reflection_in, twist_link)
 
 
 def full_graph_trace(state, l, choice):
@@ -82,7 +86,7 @@ def permutation_formula(state, l, choice):
     sigma = state.successor
     n = sigma.n
     T = lambda a, b: Permutation.transposition(n, a, b)
-    same = v in sigma.cycle_containing(i)
+    same = v in cycle_containing(sigma, i)
 
     if sigma(i) == j and sigma(v) == w:
         if (choice == 0) == (eps == 1):
@@ -140,7 +144,7 @@ def check_every_step(diagram, orders):
                 assert traced.successor == reference
                 assert formula.successor == reference
                 assert permutation_formula(state, l, choice) == reference
-                jw = traced.successor.cycle_containing(j)
+                jw = cycle_containing(traced.successor, j)
                 if w in jw and i not in jw and v not in jw:
                     further += 1
                 stack.append(formula)
@@ -399,7 +403,7 @@ def sibling_relations(state, l):
     minus = smooth_crossing_trace(state, l, 1).successor
     report = {}
 
-    if v not in sigma.cycle_containing(i):
+    if v not in cycle_containing(sigma, i):
         # distinct cycles: minus = plus conjugated by the parent v-w reflection
         xi = reflection_in(sigma, v, w)
         report["distinct: minus = plus^xi(v,w)"] = (minus == conjugate(plus, xi))
@@ -467,13 +471,13 @@ class TestImageLists:
         T = Permutation.transposition(n, a, b)
         assert as_perm(cube_module._left_swap(img, a, b)) == compose(T, p)
         assert as_perm(cube_module._right_swap(img, a, b)) == compose(p, T)
-        assert tuple(cube_module._cycle_of(img, a)) == p.cycle_containing(a)
+        assert tuple(cube_module._cycle_of(img, a)) == cycle_containing(p, a)
         assert (cube_module._same_cycle(img, a, b)
-                == (b in p.cycle_containing(a)))
+                == (b in cycle_containing(p, a)))
         assert (as_perm(cube_module._reversed_cycles(img, (a, b)))
                 == reverse_cycles(p, (a, b)))
         assert img == [0, *p.images]        # no helper edits its input
-        cyc = p.cycle_containing(a)
+        cyc = cycle_containing(p, a)
         if b not in cyc:
             with pytest.raises(CubeError):
                 cube_module._reflection(img, a, b)
@@ -512,28 +516,6 @@ FIXTURES = ("trefoil9", "whitehead12", "kink5", "riii", "square",
             "two_squares", "twist12")
 
 
-def reference_edges(vertices):
-    """The cube edges as tuples, each head word built anew from its tail:
-    the assembly before bit masks."""
-    edges = []
-    k = len(next(iter(vertices))) if vertices else 0
-    circles = {word: vx.c for word, vx in vertices.items()}
-    for pos in range(k):
-        for word, c_tail in circles.items():
-            if word[pos] != 0:
-                continue
-            letters = list(word)
-            letters[pos] = 1
-            head = tuple(letters)
-            c_head = circles[head]
-            assert abs(c_tail - c_head) == 1
-            letters[pos] = "*"
-            sign = -1 if word[:pos].count(1) % 2 else 1
-            kind = "merge" if c_head == c_tail - 1 else "split"
-            edges.append((tuple(letters), word, head, kind, sign))
-    return edges
-
-
 class TestEdges:
     def test_edges_match_tuple_reference(self):
         # same edges in the same order; tails and heads are the vertices'
@@ -554,6 +536,53 @@ class TestEdges:
                 assert all(g.cycle is c for g, c in zip(vx.groups, cycles))
                 cycles.clear()
                 assert len(vx.state.successor.cycles()) == vx.c
+
+    def test_edges_are_a_view_of_the_vertices(self, whitehead_diagram):
+        cube = build_cube(whitehead_diagram)
+        edges = list(cube.edges)
+        assert len(cube.edges) == len(edges) == cube.k * 2 ** (cube.k - 1)
+        assert list(cube.edges.core()) == [
+            (e.tail, e.head, e.kind, e.sign) for e in edges]
+        assert cube.edges[0] == edges[0] and cube.edges[-1] == edges[-1]
+        assert list(cube.edges[3:9]) == edges[3:9]
+
+    def test_equal_circles_are_one_object(self, whitehead_diagram):
+        # one cycle tuple and one DihedralFactor per distinct oriented
+        # circle, held by every vertex that has it and by its Permutation
+        cube = build_cube(whitehead_diagram)
+        factors = {}
+        for vx in cube.vertices.values():
+            for g, cyc in zip(vx.groups, vx.state.successor.cycles()):
+                assert factors.setdefault(g.cycle, g) is g
+                assert cyc is g.cycle
+        assert len(factors) < sum(vx.c for vx in cube.vertices.values())
+        sigma = cube.vertex((0,) * cube.k).state.successor
+        first = sigma.cycles()
+        assert first is not sigma.cycles() and first == sigma.cycles()
+
+    def test_cube_bytes_per_vertex(self):
+        # the vertices' words, Permutations and shared circles: T(2,10)
+        # took 2,497 bytes a vertex while the cube stored its edges
+        diagram = build_good_diagram(twist_link(10, 1), DIR_Z)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cube = build_cube(diagram)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cube.vertices) == 1024
+        assert size / len(cube.vertices) < 1000
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_circle_count_check_names_the_edge(self, trefoil_diagram,
+                                               monkeypatch, delta):
+        word = (0, 1, 1)
+        message = miscount_message(build_cube(trefoil_diagram), word, delta)
+        monkeypatch.setattr(cube_module, "_full_smoothing", miscounted(
+            cube_module._full_smoothing, word, delta))
+        with pytest.raises(CubeError, match=f"^{re.escape(message)}$"):
+            build_cube(trefoil_diagram)
 
     def test_edge_count_and_star_words(self, trefoil_cube):
         assert len(trefoil_cube.edges) == 3 * 2 ** 2

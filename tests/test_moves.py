@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from polykh import moves
 from polykh.geometry import (PolygonalLink, validate_link, deform_add_vertex,
                             deform_remove_vertex)
 from polykh.diagram import build_good_diagram
-from polykh.cube import build_cube
+from polykh.cube import CubeError, build_cube
 from polykh.khovanov import khovanov_homology
 from polykh.moves import (MoveError, TriangleMove, classify_triangle_move,
                           deformed_generator, transform_cube, riii_relabel,
@@ -17,7 +18,8 @@ from polykh.moves import (MoveError, TriangleMove, classify_triangle_move,
 from polykh.perm import Permutation, compose
 from polykh import load_fixture
 
-from conftest import DIR_Z, cycle_partition, random_diagram
+from conftest import (DIR_Z, cycle_containing, cycle_partition, miscounted,
+                      miscount_message, random_diagram, reference_edges)
 
 
 def renumbered(perm, p):
@@ -71,7 +73,7 @@ def generator_reference(move, sigma):
         return Permutation.transposition(n, a, b)
 
     x, y = {"C2": (l, m), "C3": (m, l)}.get(move.tag, (p, None))
-    cyc = sigma.cycle_containing(x)
+    cyc = cycle_containing(sigma, x)
     lam = Permutation.from_cycles(n, [cyc])
     if move.tag == "C1":
         assert lam(l) == p or lam(p) == l
@@ -276,6 +278,19 @@ class TestAlgebraicUpdates:
             assert (cycle_partition(vx.state.successor)
                     == cycle_partition(rebuilt.vertices[word].state.successor))
 
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_circle_count_check_names_the_edge(self, c1_setup, monkeypatch,
+                                               delta):
+        _, bigger, diagram = c1_setup
+        move = classify_triangle_move(diagram, 2, link=bigger)
+        cube = build_cube(diagram)
+        word = (0, 1, 1)
+        message = miscount_message(transform_cube(cube, move)[0], word, delta)
+        monkeypatch.setattr(moves, "_full_smoothing", miscounted(
+            moves._full_smoothing, word, delta))
+        with pytest.raises(CubeError, match=f"^{re.escape(message)}$"):
+            transform_cube(cube, move)
+
     def test_apply_move_removes_vertex_once(self, c1_setup, monkeypatch):
         link, bigger, _diagram = c1_setup
         calls = []
@@ -365,7 +380,7 @@ class TestAlgebraicUpdates:
         for word, vx in cube.vertices.items():
             g = deformed_generator(move, vx.state)
             renum = renumbered(g, move.p)
-            cyc = renum.cycle_containing(_renumber_index(move.l, move.p))
+            cyc = cycle_containing(renum, _renumber_index(move.l, move.p))
             assert (min(cyc, (cyc[0],) + tuple(reversed(cyc[1:])))
                     in cycle_partition(rebuilt.vertices[word].state.successor))
 
@@ -399,6 +414,11 @@ class TestPermutationAlgebraReference:
             got = [(w, vx.state.successor) for w, vx in cube2.vertices.items()]
             assert got == substitution_reference(cube, move), \
                 f"{name} {move.log_line()}"
+            assert list(cube2.edges) == reference_edges(cube2.vertices)
+            factors = {}
+            for vx in cube2.vertices.values():
+                assert all(factors.setdefault(g.cycle, g) is g
+                           for g in vx.groups)
         assert tags == {"C1", "C2", "C3"}
 
     def test_generator_matches_reference(self):
