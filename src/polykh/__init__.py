@@ -5,41 +5,34 @@ rational Khovanov homology, and triangle-move deformations."""
 __version__ = "0.1.0"
 
 from .geometry import (GeometryError, DeformationError, DirectionSearchError,
-                       PolygonalLink, validate_link, is_regular_direction,
-                       find_regular_direction, refine_to_good,
-                       deform_add_vertex, deform_remove_vertex)
+                       PolygonalLink, validate_link, find_regular_direction,
+                       refine_to_good, deform_add_vertex, deform_remove_vertex)
 from .linkfile import (LinkFileError, parse_link, load_link, dump_link,
                        fixture_path, load_fixture)
 from .diagram import (DiagramError, CrossingRecord, GoodDiagram,
                       build_good_diagram, good_diagram_auto)
-from .perm import (PermError, Permutation, DihedralFactor, compose, inverse,
-                   conjugate, parse_cycles)
+from .perm import PermError, Permutation, DihedralFactor
 from .cube import (CubeError, CubeMismatchError, SmoothingState, CubeVertex,
-                   CubeEdge, Cube, initial_state, resolve, build_cube,
-                   vertex_group)
+                   CubeEdge, Cube, initial_state, resolve, build_cube)
 from .khovanov import (KhovanovError, LaurentPoly, jones_state_sum,
                        normalized_jones, build_complex, homology,
                        khovanov_homology, euler_characteristic)
 from .moves import (MoveError, TriangleMove, classify_triangle_move,
-                    deformed_generator, transform_cube, riii_relabel,
-                    apply_move)
+                    transform_cube, apply_move)
 
 __all__ = [
     "GeometryError", "DeformationError", "DirectionSearchError",
-    "PolygonalLink", "validate_link", "is_regular_direction",
-    "find_regular_direction", "refine_to_good",
-    "deform_add_vertex", "deform_remove_vertex",
+    "PolygonalLink", "validate_link", "find_regular_direction",
+    "refine_to_good", "deform_add_vertex", "deform_remove_vertex",
     "LinkFileError", "parse_link", "load_link", "dump_link",
     "fixture_path", "load_fixture",
     "DiagramError", "CrossingRecord", "GoodDiagram",
     "build_good_diagram", "good_diagram_auto",
-    "PermError", "Permutation", "DihedralFactor", "compose", "inverse",
-    "conjugate", "parse_cycles",
+    "PermError", "Permutation", "DihedralFactor",
     "CubeError", "CubeMismatchError", "SmoothingState", "CubeVertex",
     "CubeEdge", "Cube", "initial_state", "resolve", "build_cube",
-    "vertex_group",
     "KhovanovError", "LaurentPoly", "jones_state_sum", "normalized_jones",
     "build_complex", "homology", "khovanov_homology", "euler_characteristic",
     "MoveError", "TriangleMove", "classify_triangle_move",
-    "deformed_generator", "transform_cube", "riii_relabel", "apply_move",
+    "transform_cube", "apply_move",
 ]

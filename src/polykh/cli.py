@@ -18,8 +18,8 @@ from .geometry import (GeometryError, PolygonalLink,
                        deform_add_vertex, deform_remove_vertex)
 from .linkfile import (LinkFileError, parse_link, parse_integer,
                        parse_rational, load_link, dump_link)
-from .diagram import (DiagramError, GoodDiagram, CrossingRecord,
-                      build_good_diagram, good_diagram_auto, crossing_sign)
+from .diagram import (DiagramError, GoodDiagram, build_good_diagram,
+                      good_diagram_auto)
 from .cube import Cube, CubeError, build_cube
 from .khovanov import (KhovanovError, jones_state_sum, normalized_jones,
                        build_complex, homology, khovanov_homology,
@@ -47,6 +47,19 @@ def _parse_direction(text: str):
     return tuple(parts)
 
 
+def _count(text: str) -> int:
+    """An argparse type: an int >= 0, so that a negative count is a usage
+    error (exit 2) instead of a run that does nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_order(text: str):
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -69,7 +82,7 @@ def _emit(text: str, out_path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# diagram serialization (round-trippable)
+# diagram serialization
 
 
 def dump_diagram(diagram: GoodDiagram) -> str:
@@ -81,82 +94,6 @@ def dump_diagram(diagram: GoodDiagram) -> str:
         lines.append(f"crossing {cr.index} {cr.i} {cr.j} {cr.v} {cr.w} "
                      f"{cr.sign:+d} {cr.point[0]} {cr.point[1]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_diagram(text: str) -> GoodDiagram:
-    """Parse ``dump_diagram`` output; raises LinkFileError, with the line,
-    on a malformed record or one inconsistent with the vertices."""
-    boundaries = None
-    vertices = []
-    crossings = []
-    boundaries_line, crossing_lines = 0, []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "boundaries":
-                boundaries = tuple(int(x) for x in fields[1:])
-                boundaries_line = lineno
-            elif fields[0] == "vertex":
-                vertices.append((parse_rational(fields[1]),
-                                 parse_rational(fields[2])))
-            elif fields[0] == "crossing":
-                idx, i, j, v, w, sign = (int(x) for x in fields[1:7])
-                point = (parse_rational(fields[7]), parse_rational(fields[8]))
-                crossings.append(CrossingRecord(idx, i, j, v, w, sign, point))
-                crossing_lines.append(lineno)
-            else:
-                raise LinkFileError(f"unknown record {fields[0]!r}")
-        except (ValueError, IndexError) as exc:     # LinkFileError included
-            raise LinkFileError(f"line {lineno}: {exc}") from None
-    if boundaries is None:
-        raise LinkFileError("missing boundaries record")
-    n = len(vertices)
-    if not boundaries or boundaries[-1] != n or any(
-            a >= b for a, b in zip((0,) + boundaries, boundaries)):
-        raise LinkFileError(
-            f"line {boundaries_line}: boundaries {boundaries} do not "
-            f"increase to the {n} vertex records")
-    diagram = GoodDiagram(tuple(vertices), boundaries, tuple(crossings))
-    crossed: dict[int, int] = {}      # edge start -> its crossing's index
-    for m, (cr, lineno) in enumerate(zip(crossings, crossing_lines), start=1):
-        where = f"line {lineno}: crossing {cr.index}"
-        if cr.index != m:
-            raise LinkFileError(
-                f"{where}: expected index {m}; the crossings are numbered "
-                f"1..{len(crossings)} in the order of their records")
-        if m > 1 and cr.i <= crossings[m - 2].i:
-            raise LinkFileError(
-                f"{where}: overcrossing edge ({cr.i},{cr.j}) comes before "
-                f"that of crossing {m - 1} in the walk")
-        if not all(1 <= x <= n for x in cr.quadruple):
-            raise LinkFileError(f"{where}: vertex index out of 1..{n}")
-        if diagram.successor(cr.i) != cr.j or diagram.successor(cr.v) != cr.w:
-            raise LinkFileError(
-                f"{where}: ({cr.i},{cr.j}) and ({cr.v},{cr.w}) must be "
-                f"edges, each ending at the successor of its start")
-        if len(set(cr.quadruple)) < 4:
-            raise LinkFileError(
-                f"{where}: edges ({cr.i},{cr.j}) and ({cr.v},{cr.w}) share "
-                f"a vertex")
-        for start, end in ((cr.i, cr.j), (cr.v, cr.w)):
-            if start in crossed:
-                raise LinkFileError(
-                    f"{where}: edge ({start},{end}) already carries crossing "
-                    f"{crossed[start]}")
-            crossed[start] = m
-        qi, qj, qv, qw = (diagram.vertex(x) for x in cr.quadruple)
-        try:
-            sign = crossing_sign(qi, qj, qv, qw)
-        except DiagramError as exc:
-            raise LinkFileError(f"{where}: {exc}") from None
-        if sign != cr.sign:
-            raise LinkFileError(
-                f"{where}: sign {cr.sign:+d}, but the vertex images give "
-                f"{sign:+d}")
-    return diagram
 
 
 def crossing_table(diagram: GoodDiagram) -> str:
@@ -543,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jones)
 
     def budget(p):
-        p.add_argument("--max-generators", type=int,
+        p.add_argument("--max-generators", type=_count,
                        default=DEFAULT_MAX_GENERATORS,
                        help="refuse a chain complex with more generators "
                             f"(default {DEFAULT_MAX_GENERATORS})")
@@ -556,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full invariant suite")
     common(p, output=False)
     budget(p)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("deform", help="apply a triangle move to the link")

@@ -18,7 +18,7 @@ by every vertex that has it.
 
 An edge is fixed by its two vertices: the star position, the two words and
 the change in circle count.  So nothing is stored per edge; ``Cube.edges``
-is a read-only view that reads them from the vertices, and the check that
+is an iterable view that reads them from the vertices, and the check that
 every edge changes the circle count by exactly one runs once when a cube is
 made.
 """
@@ -55,10 +55,6 @@ class SmoothingState:
     diagram: GoodDiagram
     word: tuple[int, ...]
     successor: Permutation
-
-    @property
-    def resolved(self) -> bool:
-        return all(x != 2 for x in self.word)
 
     def cycle_partition(self) -> frozenset:
         """Unoriented, unanchored circles: for orientation-insensitive equality."""
@@ -165,7 +161,8 @@ def _trace_images(crossing: CrossingRecord, s: list[int],
 # the permutation formulas on image lists
 #
 # Each helper returns a new list, and its docstring names the operation of
-# the perm module it computes on the permutation the list stands for.
+# the permutation algebra (the reference in tests/conftest.py) it computes
+# on the permutation the list stands for.
 
 
 def _cycle_of(p: list[int], x: int) -> list[int]:
@@ -246,7 +243,7 @@ def _formula_images(crossing: CrossingRecord, s: list[int],
     One of the two choices is a single transposition composition; the other
     additionally conjugates by a dihedral reflection.  The formulas are
     evaluated on image lists; the comment above each line gives it in the
-    algebra of the perm module, with T(a, b) the transposition of a and b
+    permutation algebra, with T(a, b) the transposition of a and b
     and reflection_in(p, a, b) the reflection that _reflection computes.
     """
     i, j, v, w = crossing.quadruple
@@ -369,13 +366,6 @@ def resolve(state: SmoothingState, l: int, choice: int) -> SmoothingState:
                      _step(state.diagram, state.word, s, l, choice))
 
 
-def vertex_group(state: SmoothingState) -> list[DihedralFactor]:
-    """One dihedral factor per circle, ordered by lowest member index."""
-    if not state.resolved:
-        raise CubeError("vertex groups are defined for full smoothings only")
-    return [DihedralFactor(cyc) for cyc in state.successor.cycles()]
-
-
 @dataclass(frozen=True, slots=True)
 class CubeVertex:
     word: tuple[int, ...]          # over {0,1}
@@ -398,7 +388,7 @@ class CubeEdge(NamedTuple):
 _STAR = ("*",)
 
 
-class CubeEdges(Sequence):
+class CubeEdges:
     """The edges between adjacent full smoothings, read from the vertices.
 
     Edges come position by position, each in the order of ``vertices``; a
@@ -416,9 +406,6 @@ class CubeEdges(Sequence):
     @property
     def _k(self) -> int:
         return len(next(iter(self.vertices))) if self.vertices else 0
-
-    def __len__(self) -> int:
-        return self._k << self._k >> 1
 
     def _walk(self):
         """(pos, tail, head, c_tail, c_head, sign) of every edge, in order."""
@@ -456,10 +443,6 @@ class CubeEdges(Sequence):
                 tail[:pos] + _STAR + tail[pos + 1:], tail, head,
                 "merge" if c_head < c_tail else "split", sign))
 
-    def __getitem__(self, index):
-        """Edge or slice by position; walks the cube."""
-        return tuple(self)[index]
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -471,9 +454,6 @@ class Cube:
     @property
     def k(self) -> int:
         return self.diagram.k
-
-    def vertex(self, word) -> CubeVertex:
-        return self.vertices[tuple(word)]
 
 
 def _full_smoothing(diagram: GoodDiagram, word: tuple[int, ...],

@@ -8,7 +8,9 @@ obstructions) do not run on Fractions: a point list is scaled once to
 changes no orientation sign and no segment parameter, and the predicates
 multiply plain ints.  Fractions are made only on a hit, for its parameters,
 its point and the values that leave this module.  Per-call tuples are built
-from lists, not generators, for the reason given in ``perm.compose``.
+from lists, not generators: ``tuple()`` of a generator allocates a small
+tuple and resizes it, the resized tuples collect in CPython's tuple free
+lists, and peak RSS grew with each repetition of the same work.
 """
 
 from __future__ import annotations
@@ -289,24 +291,9 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
 # segment intersection, 3D and 2D
 
 
-def seg3_intersection(a: Vec3, b: Vec3, c: Vec3, d: Vec3):
-    """Intersection of closed segments ab and cd.
-
-    Returns None, ("point", P) or ("overlap", (P, Q)).
-    """
-    hit = _seg3_hit(*_integral((a, b, c, d))[0])
-    if hit is None:
-        return None
-    u = sub3(b, a)
-    at = lambda t, den: add3(a, scale3(u, Fraction(t, den)))
-    if hit[0] == "point":
-        return ("point", at(hit[1], hit[2]))
-    _tag, lo, hi, den = hit
-    return ("overlap", (at(lo, den), at(hi, den)))
-
-
 def _seg3_hit(a, b, c, d):
-    """``seg3_intersection`` on int points, with parameters along ab.
+    """Intersection of the closed segments ab and cd, on int points, with
+    parameters along ab.
 
     Returns None, ("point", t, den) or ("overlap", t0, t1, den): the
     parameters are t/den, t0/den < t1/den, with den > 0.
@@ -468,12 +455,6 @@ def regularity_witness(link: PolygonalLink, direction: Vec3):
     and lines, so sampling terminates.
     """
     return _project(link, direction)[0]
-
-
-def is_regular_direction(link: PolygonalLink, direction: Vec3):
-    """(bool, witness-or-None)."""
-    w = regularity_witness(link, direction)
-    return (w is None, w)
 
 
 def _project(link: PolygonalLink, direction: Vec3):

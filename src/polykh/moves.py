@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perm import Permutation
 from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       build_good_diagram, crossing_sign)
-from .cube import (Cube, SmoothingState, _crossing_arcs, _cycle_of,
-                   _full_smoothing, _left_swap, _made_cube, _right_swap,
-                   _reversed_cycles)
+from .cube import (Cube, _crossing_arcs, _full_smoothing, _made_cube,
+                   _right_swap, _reversed_cycles)
 from .geometry import (PolygonalLink, DeformationError, seg2_intersection,
                        point_on_seg2, _point_in_triangle2, orient2,
                        deform_remove_vertex)
@@ -296,69 +294,6 @@ def _triangle_case(diagram: GoodDiagram, l: int, p: int,
 
 
 # ---------------------------------------------------------------------------
-# deformed generators
-
-
-def deformed_generator(move: TriangleMove, state: SmoothingState) -> Permutation:
-    """The deformed component cycle of a full smoothing, by closed formula.
-
-    The result is a permutation on the original vertex indices in which p is
-    a fixed point; renumbering is left to the caller.  The formulas are
-    evaluated on image lists; the comment above each line gives it in the
-    algebra of the perm module, with lam the cycle of sigma through x as a
-    permutation fixing everything else and T(a, b) the transposition of a
-    and b.
-    """
-    if move.tag in ("CA", "CB", "CC", "RIII"):
-        raise MoveError(
-            f"{move.tag} is a composite move; apply it to the link and "
-            "rebuild instead of using a closed generator formula")
-    if not state.resolved:
-        raise MoveError("deformed generators are defined for full smoothings")
-    s = [0, *state.successor.images]          # s[x] = sigma(x)
-    l, p, m = move.l, move.p, move.m
-    # C3 is C2 with the roles of l and m exchanged; the other cases walk
-    # the cycle through p
-    x, y = {"C2": (l, m), "C3": (m, l)}.get(move.tag, (p, None))
-    cyc = _cycle_of(s, x)
-    lam = list(range(len(s)))
-    for c in cyc:
-        lam[c] = s[c]
-
-    if move.tag == "C1":
-        if lam[l] == p:
-            # compose(lam, T(l, p))
-            return Permutation(_right_swap(lam, l, p)[1:])
-        if lam[p] == l:
-            # compose(lam, T(m, p))
-            return Permutation(_right_swap(lam, m, p)[1:])
-        raise MoveError("edge l-p missing from the smoothing cycle")
-
-    if move.tag in ("C2", "C3"):
-        a, same = move.a, y in cyc
-        for cand in (lam, _reversed_cycles(lam, (x,))):
-            if same:
-                # compose(T(y, p), cand, T(y, p), T(x, p))
-                res = _left_swap(
-                    _right_swap(_right_swap(cand, y, p), x, p), y, p)
-            else:
-                # compose(T(a, p), cand, T(x, p))
-                res = _left_swap(_right_swap(cand, x, p), a, p)
-            if res[p] == p:
-                return Permutation(res[1:])
-        raise MoveError("no orientation of the smoothing cycle fixes p")
-
-    # C4 / C5: multiply by the transposition exchanging p with the vertex
-    # that replaces it in the crossing quadruple, on whichever side fixes p.
-    t = m if move.tag == "C4" else l
-    # compose(T(t, p), lam), then compose(lam, T(t, p))
-    for res in (_left_swap(lam, t, p), _right_swap(lam, t, p)):
-        if res[p] == p:
-            return Permutation(res[1:])
-    raise MoveError("neither multiplication side fixes p")
-
-
-# ---------------------------------------------------------------------------
 # cube transformation
 
 
@@ -498,36 +433,6 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
     return _made_cube(diagram2, order2, vertices), provenance
 
 
-# ---------------------------------------------------------------------------
-# Reidemeister III relabelling
-
-
-def riii_relabel(triple, inverse: bool = False):
-    """Index substitution of a polygonal Reidemeister III move.
-
-    ``triple`` holds three crossing quadruples (i, j, v, w) whose incidence
-    pattern is j1=i2, v1=j3, w2=v3 (every two crossings share a vertex).  The
-    forward substitution returns the quadruples of the deformed diagram,
-    whose pattern is J1=I2, W2=I3, V1=W3; ``inverse=True`` undoes it.
-    """
-    quads = [tuple(c.quadruple) if isinstance(c, CrossingRecord) else tuple(c)
-             for c in triple]
-    if len(quads) != 3 or any(len(q) != 4 for q in quads):
-        raise MoveError("expected three crossing quadruples")
-    (i1, j1, v1, w1), (i2, j2, v2, w2), (i3, j3, v3, w3) = quads
-    if not inverse:
-        if not (j1 == i2 and v1 == j3 and w2 == v3):
-            raise MoveError(
-                "crossing triple does not match the pairwise-sharing pattern "
-                "j1=i2, v1=j3, w2=v3")
-        return ((i1, j1, v3, w3), (i2, j2, i3, j3), (v1, w1, v2, w2))
-    if not (j1 == i2 and w2 == i3 and v1 == w3):
-        raise MoveError(
-            "crossing triple does not match the deformed pattern "
-            "J1=I2, W2=I3, V1=W3")
-    return ((i1, j1, i3, j3), (i2, j2, v3, w3), (v2, w2, v1, w1))
-
-
 def apply_move(link: PolygonalLink, direction, p: int):
     """Remove vertex p from the link, classify the move, and rebuild.
 
@@ -539,7 +444,7 @@ def apply_move(link: PolygonalLink, direction, p: int):
     if move.tag == "RIII":
         raise MoveError(
             "a Reidemeister III pattern cannot be realised by a single "
-            "vertex removal; relabel and rebuild instead")
+            "vertex removal; move the strands and rebuild instead")
     try:
         diagram2 = build_good_diagram(link2, direction)
     except DiagramError as exc:

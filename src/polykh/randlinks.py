@@ -1,4 +1,4 @@
-"""Seeded random polygonal links for the verification suite.
+"""Seeded random polygonal links.
 
 Rejection sampling of small-integer closed polygons: cheap to generate,
 deterministic for a fixed seed, and rich enough to exercise every branch of
@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .geometry import (PolygonalLink, validate_link, find_regular_direction,
-                       refine_to_good, project_link, GeometryError)
-from .diagram import build_good_diagram
+from .geometry import PolygonalLink, validate_link
 
 
 def random_link(rng: random.Random, max_vertices: int = 16,
@@ -30,31 +28,3 @@ def random_link(rng: random.Random, max_vertices: int = 16,
         link = PolygonalLink.from_lists(comps)
         if not validate_link(link):
             return link
-
-
-def random_diagram(seed: int, max_crossings: int = 6,
-                   min_crossings: int = 0, max_vertices: int = 16,
-                   max_components: int = 2):
-    """A random link together with a good diagram of at most
-    ``max_crossings`` crossings; returns (link, refined link, direction,
-    diagram).  Deterministic in ``seed``.
-
-    Refinement keeps the crossing count of the raw projection and draws
-    nothing from the generator, so candidates are screened on the raw count
-    and only a kept one is refined.
-    """
-    rng = random.Random(seed)
-    while True:
-        link = random_link(rng, max_vertices=max_vertices,
-                           max_components=max_components)
-        try:
-            direction = find_regular_direction(link, seed=rng.randint(0, 10 ** 6),
-                                               budget=2000)
-            k = len(project_link(link, direction).crossings)
-            if not min_crossings <= k <= max_crossings:
-                continue
-            refined = refine_to_good(link, direction)
-            diagram = build_good_diagram(refined, direction)
-        except GeometryError:
-            continue
-        return link, refined, direction, diagram

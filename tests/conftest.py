@@ -1,4 +1,6 @@
-"""Shared fixtures: bundled links, standard diagrams, seeded random links."""
+"""Shared fixtures and references: bundled links, standard diagrams, seeded
+random links, and the permutation algebra that the package's image-list
+formulas are checked against."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -10,6 +12,8 @@ from hypothesis import settings, strategies as st
 from polykh import (PolygonalLink, LinkFileError, validate_link, load_fixture,
                     build_good_diagram, build_cube)
 from polykh import randlinks
+from polykh.geometry import (GeometryError, find_regular_direction,
+                             project_link, refine_to_good)
 from polykh.perm import DihedralFactor, PermError, Permutation
 
 settings.register_profile("deterministic", derandomize=True)
@@ -29,7 +33,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 DIR_Z = (F(0), F(0), F(1))
 
-# the tokens of the link and diagram formats, some malformed, with free text
+# tokens of the link format and of other record types, some malformed,
+# with free text
 TOKENS = st.sampled_from(["component", "vertex", "crossing", "boundaries",
                           "#", "0", "1", "-1", "+1", "2", "3", "9", "-8/11",
                           "1/2", "3/", "1/0", "0.5", "nan", "x"]) | st.text(
@@ -74,6 +79,76 @@ def whitehead_diagram(whitehead_link):
 @pytest.fixture(scope="session")
 def square_link():
     return load_fixture("square")
+
+
+# ---------------------------------------------------------------------------
+# the permutation algebra: the reference that the cube's and the moves'
+# image-list formulas transcribe.  compose(a, b) applies b first and then a.
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(range(1, n + 1))
+
+
+def transposition(n: int, a: int, b: int) -> Permutation:
+    img = list(range(1, n + 1))
+    img[a - 1], img[b - 1] = b, a
+    return Permutation(img)
+
+
+def from_cycles(n: int, cycles) -> Permutation:
+    img = list(range(1, n + 1))
+    seen = set()
+    for cyc in cycles:
+        for x in cyc:
+            if x in seen:
+                raise PermError(f"index {x} appears in two cycles")
+            seen.add(x)
+        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
+            img[a - 1] = b
+    return Permutation(img)
+
+
+def compose(a: Permutation, *rest: Permutation) -> Permutation:
+    """Product applied right to left: compose(a, b)(x) = a(b(x))."""
+    out = a
+    for b in rest:
+        if out.n != b.n:
+            raise PermError(f"size mismatch: {out.n} vs {b.n}")
+        out = Permutation([out.images[y - 1] for y in b.images])
+    return out
+
+
+def inverse(a: Permutation) -> Permutation:
+    inv = [0] * a.n
+    for x, y in enumerate(a.images, start=1):
+        inv[y - 1] = x
+    return Permutation(inv)
+
+
+def conjugate(a: Permutation, g: Permutation) -> Permutation:
+    """g a g^-1 -- relabels a's cycle notation through g."""
+    return compose(g, a, inverse(g))
+
+
+def parse_cycles(text: str, n: int) -> Permutation:
+    """Parse cycle-notation text like ``(1,9,3)(4,11,7)``; fixed points
+    implicit."""
+    text = text.strip()
+    if text in ("()", "", "id"):
+        return identity(n)
+    if not (text.startswith("(") and text.endswith(")")):
+        raise PermError(f"bad cycle notation: {text!r}")
+    cycles = []
+    for chunk in text[1:-1].split(")("):
+        try:
+            cyc = [int(t) for t in chunk.replace(" ", "").split(",") if t]
+        except ValueError as exc:
+            raise PermError(f"bad cycle chunk {chunk!r}") from exc
+        if any(not (1 <= x <= n) for x in cyc):
+            raise PermError(f"cycle entry out of range in {chunk!r}")
+        cycles.append(cyc)
+    return from_cycles(n, cycles)
 
 
 def cycle_containing(perm: Permutation, x: int) -> tuple[int, ...]:
@@ -181,10 +256,25 @@ def random_link(rng: random.Random) -> PolygonalLink:
 
 
 def random_diagram(rng: random.Random, k_max: int = 6):
-    """Random link together with a good diagram having at most k_max crossings."""
-    _link, refined, direction, diagram = randlinks.random_diagram(
-        rng.randrange(1 << 30), max_crossings=k_max)
-    return diagram, refined, direction
+    """A random link with a good diagram of at most ``k_max`` crossings;
+    returns (diagram, refined link, direction).  Deterministic in ``rng``.
+
+    Refinement keeps the crossing count of the raw projection and draws
+    nothing from the generator, so candidates are screened on the raw count
+    and only a kept one is refined.
+    """
+    seeded = random.Random(rng.randrange(1 << 30))
+    while True:
+        link = randlinks.random_link(seeded)
+        try:
+            direction = find_regular_direction(
+                link, seed=seeded.randint(0, 10 ** 6), budget=2000)
+            if len(project_link(link, direction).crossings) > k_max:
+                continue
+            refined = refine_to_good(link, direction)
+            return build_good_diagram(refined, direction), refined, direction
+        except GeometryError:
+            continue
 
 
 def torus_table(n: int, sign: int) -> dict[tuple[int, int], int]:

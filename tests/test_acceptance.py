@@ -18,14 +18,13 @@ from polykh import (PolygonalLink, validate_link, find_regular_direction,
                     khovanov_homology, euler_characteristic, LaurentPoly)
 from polykh.cube import initial_state, smooth_crossing_trace, \
     smooth_crossing_theorem
-from polykh.perm import parse_cycles
 from polykh.moves import classify_triangle_move, transform_cube, apply_move
 from polykh.geometry import GeometryError, DeformationError, project_link, \
     is_good_projection
 from polykh.diagram import DiagramError
 
-from conftest import (DIR_Z, cycle_partition, random_link, random_diagram,
-                      torus_table)
+from conftest import (DIR_Z, cycle_partition, parse_cycles, random_link,
+                      random_diagram, torus_table)
 
 
 REPORT: list[str] = []
@@ -90,7 +89,7 @@ def test_criterion_3_whitehead_vertex_group():
     vx = cube.vertices[(1, 1, 0, 1, 1)]
     assert cycle_partition(vx.state.successor) == cycle_partition(
         parse_cycles("(1,9,3,8,10,5,6,12,2)(4,11,7)", 12))
-    assert sorted(g.order for g in vx.groups) == [3, 9]        # D9 x D3
+    assert sorted(len(g.cycle) for g in vx.groups) == [3, 9]   # D9 x D3
     assert sorted(g.group_order for g in vx.groups) == [6, 18]
     assert time.perf_counter() - start < 1.0
 

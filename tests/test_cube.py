@@ -8,17 +8,18 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from polykh.perm import (PermError, Permutation, compose, conjugate,
-                         parse_cycles)
+from polykh.perm import PermError, Permutation
 from polykh import cube as cube_module
 from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
-                         smooth_crossing_trace, vertex_group, build_cube,
+                         smooth_crossing_trace, build_cube,
                          _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
 
-from conftest import (DIR_Z, cycle_containing, cycle_partition, miscounted,
-                      miscount_message, random_diagram, reference_edges,
-                      reflection_in, twist_link)
+from conftest import (DIR_Z, compose, conjugate, cycle_containing,
+                      cycle_partition, from_cycles, miscounted,
+                      miscount_message, parse_cycles, random_diagram,
+                      reference_edges, reflection_in, transposition,
+                      twist_link)
 
 
 def full_graph_trace(state, l, choice):
@@ -72,20 +73,20 @@ def full_graph_trace(state, l, choice):
 
 def reverse_cycles(perm, members):
     """Reference reversal of every cycle of perm holding a member."""
-    return Permutation.from_cycles(perm.n, [
+    return from_cycles(perm.n, [
         cyc[::-1] if set(cyc) & set(members) else cyc
         for cyc in perm.cycles()])
 
 
 def permutation_formula(state, l, choice):
-    """Reference formula side: the closed formulas in the algebra of the
-    perm module, each transposition and reflection a full Permutation."""
+    """Reference formula side: the closed formulas in the permutation
+    algebra, each transposition and reflection a full Permutation."""
     crossing = state.diagram.crossings[l - 1]
     i, j, v, w = crossing.quadruple
     eps = crossing.sign
     sigma = state.successor
     n = sigma.n
-    T = lambda a, b: Permutation.transposition(n, a, b)
+    T = lambda a, b: transposition(n, a, b)
     same = v in cycle_containing(sigma, i)
 
     if sigma(i) == j and sigma(v) == w:
@@ -156,7 +157,6 @@ class TestInitialState:
         s = initial_state(trefoil_diagram)
         assert s.word == (2, 2, 2)
         assert s.successor == parse_cycles("(1,2,3,4,5,6,7,8,9)", 9)
-        assert not s.resolved
 
     def test_two_components(self, whitehead_diagram):
         s = initial_state(whitehead_diagram)
@@ -193,7 +193,7 @@ class TestWhiteheadCube:
         vx = cube.vertices[(1, 1, 0, 1, 1)]
         assert cycle_partition(vx.state.successor) == cycle_partition(
             parse_cycles("(1,9,3,8,10,5,6,12,2)(4,11,7)", 12))
-        assert sorted(g.order for g in vx.groups) == [3, 9]
+        assert sorted(len(g.cycle) for g in vx.groups) == [3, 9]
         assert sorted(g.group_order for g in vx.groups) == [6, 18]
 
 
@@ -398,7 +398,7 @@ def sibling_relations(state, l):
     eps = crossing.sign
     sigma = state.successor
     n = sigma.n
-    T = lambda a, b: Permutation.transposition(n, a, b)
+    T = lambda a, b: transposition(n, a, b)
     plus = smooth_crossing_trace(state, l, 0).successor
     minus = smooth_crossing_trace(state, l, 1).successor
     report = {}
@@ -468,7 +468,7 @@ class TestImageLists:
         as_perm = lambda q: Permutation(q[1:])
         a = data.draw(st.integers(1, n))
         b = data.draw(st.integers(1, n).filter(lambda x: x != a))
-        T = Permutation.transposition(n, a, b)
+        T = transposition(n, a, b)
         assert as_perm(cube_module._left_swap(img, a, b)) == compose(T, p)
         assert as_perm(cube_module._right_swap(img, a, b)) == compose(p, T)
         assert tuple(cube_module._cycle_of(img, a)) == cycle_containing(p, a)
@@ -507,10 +507,6 @@ class TestStateInvariants:
                 assert abs(ct - ch) == 1
                 assert edge.kind == ("merge" if ch == ct - 1 else "split")
 
-    def test_vertex_group_requires_resolution(self, trefoil_diagram):
-        with pytest.raises(CubeError):
-            vertex_group(initial_state(trefoil_diagram))
-
 
 FIXTURES = ("trefoil9", "whitehead12", "kink5", "riii", "square",
             "two_squares", "twist12")
@@ -540,11 +536,9 @@ class TestEdges:
     def test_edges_are_a_view_of_the_vertices(self, whitehead_diagram):
         cube = build_cube(whitehead_diagram)
         edges = list(cube.edges)
-        assert len(cube.edges) == len(edges) == cube.k * 2 ** (cube.k - 1)
+        assert len(edges) == cube.k * 2 ** (cube.k - 1)
         assert list(cube.edges.core()) == [
             (e.tail, e.head, e.kind, e.sign) for e in edges]
-        assert cube.edges[0] == edges[0] and cube.edges[-1] == edges[-1]
-        assert list(cube.edges[3:9]) == edges[3:9]
 
     def test_equal_circles_are_one_object(self, whitehead_diagram):
         # one cycle tuple and one DihedralFactor per distinct oriented
@@ -556,7 +550,7 @@ class TestEdges:
                 assert factors.setdefault(g.cycle, g) is g
                 assert cyc is g.cycle
         assert len(factors) < sum(vx.c for vx in cube.vertices.values())
-        sigma = cube.vertex((0,) * cube.k).state.successor
+        sigma = cube.vertices[(0,) * cube.k].state.successor
         first = sigma.cycles()
         assert first is not sigma.cycles() and first == sigma.cycles()
 
@@ -585,7 +579,7 @@ class TestEdges:
             build_cube(trefoil_diagram)
 
     def test_edge_count_and_star_words(self, trefoil_cube):
-        assert len(trefoil_cube.edges) == 3 * 2 ** 2
+        assert len(list(trefoil_cube.edges)) == 3 * 2 ** 2
         for edge in trefoil_cube.edges:
             stars = [i for i, x in enumerate(edge.star_word) if x == "*"]
             assert len(stars) == 1

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from polykh.geometry import (GeometryError, DeformationError,
                              DirectionSearchError, PolygonalLink,
                              validate_link, orient2, orient3,
-                             seg2_intersection, seg3_intersection,
-                             chart_basis, regularity_witness,
-                             is_regular_direction, find_regular_direction,
+                             seg2_intersection, chart_basis,
+                             regularity_witness, find_regular_direction,
                              refine_to_good, is_good_projection, project_link,
                              triangle_obstruction, deform_add_vertex,
                              deform_remove_vertex, dot3, cross3, sub3,
-                             point_on_seg2, DENOMINATOR_BITS, _capped)
+                             point_on_seg2, DENOMINATOR_BITS, _capped,
+                             _integral, _seg3_hit)
 from polykh import load_fixture, build_good_diagram
 
 from conftest import DIR_Z, random_link
@@ -56,10 +56,10 @@ def ref_seg2(p, p2, q, q2):
 
 
 def ref_seg3(a, b, c, d):
+    """None, ("point", t) or ("overlap", (t0, t1)), parameters along ab."""
     u, w = sub3(b, a), sub3(d, c)
     if orient3(a, b, c, d) != 0:
         return None
-    at = lambda t: tuple(a[i] + t * u[i] for i in range(3))
     nrm = cross3(u, w)
     if nrm == (0, 0, 0):
         if cross3(sub3(c, a), u) != (0, 0, 0):
@@ -69,15 +69,27 @@ def ref_seg3(a, b, c, d):
         lo, hi = max(t0, F(0)), min(t1, F(1))
         if lo > hi:
             return None
-        return ("point", at(lo)) if lo == hi else ("overlap", (at(lo), at(hi)))
+        return ("point", lo) if lo == hi else ("overlap", (lo, hi))
     k = max(range(3), key=lambda i: abs(nrm[i]))
     x, y = [i for i in range(3) if i != k]
     hit = ref_seg2((a[x], a[y]), (b[x], b[y]), (c[x], c[y]), (d[x], d[y]))
     if hit is None:
         return None
     if hit[0] == "point":
-        return ("point", at(hit[1][0]))
-    return ("overlap", (at(hit[1][0]), at(hit[1][1])))
+        return ("point", hit[1][0])
+    return ("overlap", hit[1])
+
+
+def seg3_params(a, b, c, d):
+    """``_seg3_hit`` on the int images of the four points, with its
+    parameters along ab as Fractions, as ``ref_seg3`` gives them."""
+    hit = _seg3_hit(*_integral((a, b, c, d))[0])
+    if hit is None:
+        return None
+    if hit[0] == "point":
+        return ("point", F(hit[1], hit[2]))
+    _tag, lo, hi, den = hit
+    return ("overlap", (F(lo, den), F(hi, den)))
 
 
 def ref_project(link, direction):
@@ -252,7 +264,7 @@ class TestIntegerKernel:
         a, b, _c, _d = segs
         if a == b:
             return
-        assert seg3_intersection(*segs) == ref_seg3(*segs)
+        assert seg3_params(*segs) == ref_seg3(*segs)
 
     @given(small_links, directions)
     @settings(max_examples=120)
@@ -271,14 +283,14 @@ class TestIntegerKernel:
 
 class TestSegmentIntersection3D:
     def test_crossing_in_space(self):
-        hit = seg3_intersection((F(0), F(0), F(0)), (F(2), F(2), F(2)),
-                                (F(0), F(2), F(1)), (F(2), F(0), F(1)))
-        assert hit is not None and hit[0] == "point"
-        assert hit[1] == (F(1), F(1), F(1))
+        # the diagonals meet at (1, 1, 1), halfway along the first
+        assert seg3_params((F(0), F(0), F(0)), (F(2), F(2), F(2)),
+                           (F(0), F(2), F(1)),
+                           (F(2), F(0), F(1))) == ("point", F(1, 2))
 
     def test_skew_lines_miss(self):
-        assert seg3_intersection((F(0), F(0), F(0)), (F(1), F(0), F(0)),
-                                 (F(0), F(0), F(1)), (F(0), F(1), F(1))) is None
+        assert seg3_params((F(0), F(0), F(0)), (F(1), F(0), F(0)),
+                           (F(0), F(0), F(1)), (F(0), F(1), F(1))) is None
 
 
 class TestLinkLookups:
@@ -336,16 +348,14 @@ class TestRegularity:
         assert dot3(cross3(u, v), d) > 0  # right-handed chart
 
     def test_square_vertical_is_regular(self, square_link):
-        ok, witness = is_regular_direction(square_link, DIR_Z)
-        assert ok and witness is None
+        assert regularity_witness(square_link, DIR_Z) is None
 
     def test_in_plane_direction_rejected(self, square_link):
-        ok, witness = is_regular_direction(square_link, (F(1), F(0), F(0)))
-        assert not ok and witness is not None
+        assert regularity_witness(square_link,
+                                  (F(1), F(0), F(0))) is not None
 
     def test_trefoil_vertical_is_regular(self, trefoil_link):
-        ok, _ = is_regular_direction(trefoil_link, DIR_Z)
-        assert ok
+        assert regularity_witness(trefoil_link, DIR_Z) is None
 
     def test_find_regular_direction_deterministic(self, trefoil_link):
         d1 = find_regular_direction(trefoil_link, seed=7)

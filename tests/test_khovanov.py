@@ -19,7 +19,8 @@ from polykh.khovanov import (KhovanovError, LaurentPoly, jones_state_sum,
                              homology_tsv, _check_d_squared,
                              _check_q_grading, _pivots)
 from polykh import khovanov
-from polykh import build_good_diagram, build_cube, load_fixture
+from polykh import (build_good_diagram, build_cube, load_fixture,
+                    PolygonalLink)
 from polykh.perm import DihedralFactor
 
 from conftest import DIR_Z, random_diagram, torus_table, twist_link
@@ -537,6 +538,49 @@ class TestHomology:
     def test_tsv_format(self):
         assert homology_tsv({(0, 1): 1, (0, -1): 1}) == "0\t-1\t1\n0\t1\t1\n"
         assert homology_tsv({}) == ""
+
+
+def invariance_inputs():
+    """(link, direction) of the fixtures other than twist12, whose
+    refinement along a searched direction takes minutes, and of six seeded
+    random links with good diagrams of at most six crossings."""
+    inputs = [(load_fixture(name), DIR_Z)
+              for name in ("square", "two_squares", "trefoil9",
+                           "whitehead12", "kink5", "riii")]
+    rng = random.Random(53)
+    inputs += [random_diagram(rng)[1:] for _ in range(6)]
+    return inputs
+
+
+def table_and_jones(link, direction):
+    cube = build_cube(build_good_diagram(link, direction))
+    return khovanov_homology(cube), jones_state_sum(cube)
+
+
+class TestInvariance:
+    def test_mirror(self):
+        # z -> -z, projected along (dx, dy, -dz): dim KH^{i,j}(mL) =
+        # dim KH^{-i,-j}(L), and J-hat(q) goes to J-hat(1/q)
+        chiral = 0
+        for link, (dx, dy, dz) in invariance_inputs():
+            table, j_hat = table_and_jones(link, (dx, dy, dz))
+            mirrored = PolygonalLink(tuple(
+                tuple((x, y, -z) for x, y, z in comp)
+                for comp in link.components))
+            table_m, j_hat_m = table_and_jones(mirrored, (dx, dy, -dz))
+            assert table_m == {(-i, -j): d for (i, j), d in table.items()}
+            assert j_hat_m == LaurentPoly(
+                {-e: c for e, c in j_hat.coeffs.items()})
+            chiral += table_m != table
+        assert chiral           # the trefoil and whitehead12 at least
+
+    def test_orientation_reversal(self):
+        # reversing every component leaves the homology table and J-hat
+        for link, direction in invariance_inputs():
+            reversed_link = PolygonalLink(tuple(
+                comp[::-1] for comp in link.components))
+            assert (table_and_jones(reversed_link, direction)
+                    == table_and_jones(link, direction))
 
 
 def _full_rank_homology(cx):

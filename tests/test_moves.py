@@ -13,13 +13,14 @@ from polykh.diagram import build_good_diagram
 from polykh.cube import CubeError, build_cube
 from polykh.khovanov import khovanov_homology
 from polykh.moves import (MoveError, TriangleMove, classify_triangle_move,
-                          deformed_generator, transform_cube, riii_relabel,
-                          apply_move, _renumbered, _renumber_index)
-from polykh.perm import Permutation, compose
+                          transform_cube, apply_move, _renumbered,
+                          _renumber_index)
+from polykh.perm import Permutation
 from polykh import load_fixture
 
-from conftest import (DIR_Z, cycle_containing, cycle_partition, miscounted,
-                      miscount_message, random_diagram, reference_edges)
+from conftest import (DIR_Z, compose, cycle_containing, cycle_partition,
+                      from_cycles, miscounted, miscount_message,
+                      random_diagram, reference_edges, transposition)
 
 
 def renumbered(perm, p):
@@ -54,9 +55,9 @@ def substitution_reference(cube, move):
             word = word[:lc - 1] + word[lc:]
         if sigma(a) != p:
             assert sigma(p) == a
-            sigma = Permutation.from_cycles(
+            sigma = from_cycles(
                 n, [cyc[::-1] if p in cyc else cyc for cyc in sigma.cycles()])
-        s = compose(sigma, Permutation.transposition(n, a, p))
+        s = compose(sigma, transposition(n, a, p))
         assert s(p) == p
         out.append((word, Permutation([_renumber_index(s(x), p)
                                        for x in range(1, n + 1) if x != p])))
@@ -64,27 +65,29 @@ def substitution_reference(cube, move):
 
 
 def generator_reference(move, sigma):
-    """``deformed_generator`` by the Permutation algebra: lam is the cycle
-    of sigma through x (p for C1, C4, C5) as a permutation fixing every
-    other index."""
+    """The deformed component cycle of the full smoothing sigma under a
+    C1-C5 move, by the permutation algebra: a permutation of the original
+    indices that fixes p, which the caller renumbers away.  lam is the
+    cycle of sigma through x (l for C2, m for C3, p otherwise) as a
+    permutation fixing every other index.  For C2/C3, sigma must lie in the
+    kept half of the cube: the smoothings without the residual bigon."""
     n, l, p, m = sigma.n, move.l, move.p, move.m
 
     def T(a, b):
-        return Permutation.transposition(n, a, b)
+        return transposition(n, a, b)
 
     x, y = {"C2": (l, m), "C3": (m, l)}.get(move.tag, (p, None))
     cyc = cycle_containing(sigma, x)
-    lam = Permutation.from_cycles(n, [cyc])
+    lam = from_cycles(n, [cyc])
     if move.tag == "C1":
         assert lam(l) == p or lam(p) == l
         return compose(lam, T(l, p) if lam(l) == p else T(m, p))
     if move.tag in ("C2", "C3"):
-        candidates = []
-        for cand in (lam, Permutation.from_cycles(n, [cyc[::-1]])):
-            if y in cyc:
-                candidates.append(compose(T(y, p), cand, T(y, p), T(x, p)))
-            else:
-                candidates.append(compose(T(move.a, p), cand, T(x, p)))
+        # the kept resolution of the vanishing crossing joins x to y by an
+        # arc, so y lies on the cycle through x
+        assert y in cyc, f"{y} is not on the cycle {cyc} through {x}"
+        candidates = [compose(T(y, p), cand, T(y, p), T(x, p))
+                      for cand in (lam, from_cycles(n, [cyc[::-1]]))]
     else:
         t = T(m, p) if move.tag == "C4" else T(l, p)
         candidates = [compose(t, lam), compose(lam, t)]
@@ -240,24 +243,37 @@ class TestThirdReidemeister:
         with pytest.raises(MoveError, match="Reidemeister III"):
             apply_move(self.link(), DIR_Z, 2)
 
+    # the riii fixture with vertices 2, 5 and 8 moved across the triangle of
+    # its three crossings: a polygonal Reidemeister III move, and the
+    # quadruples it gives
+    MOVED = {2: (0, 3, 3), 5: (3, F(-3, 2), 2), 8: (-3, -1, -1)}
+    RELABELED = [(1, 2, 8, 9), (2, 3, 4, 5), (5, 6, 7, 8)]
+
+    def riii_links(self):
+        link = load_fixture("riii")
+        link2 = PolygonalLink.from_lists(
+            [[self.MOVED.get(gi, link.vertex(gi)) for gi in range(1, 10)]])
+        assert validate_link(link2) == []
+        return link, link2
+
     def test_relabel_map(self):
-        d = build_good_diagram(load_fixture("riii"), DIR_Z)
-        triple = tuple(cr.quadruple for cr in d.crossings)
-        assert triple == ((1, 2, 5, 6), (2, 3, 7, 8), (4, 5, 8, 9))
-        relabeled = riii_relabel(triple)
-        assert relabeled == ((1, 2, 8, 9), (2, 3, 4, 5), (5, 6, 7, 8))
-        assert riii_relabel(relabeled, inverse=True) == triple
+        # every two crossings share a vertex: in the pattern j1=i2, v1=j3,
+        # w2=v3 before the move and J1=I2, W2=I3, V1=W3 after it
+        link, link2 = self.riii_links()
+        before = [cr.quadruple
+                  for cr in build_good_diagram(link, DIR_Z).crossings]
+        assert before == [(1, 2, 5, 6), (2, 3, 7, 8), (4, 5, 8, 9)]
+        (_, j1, v1, _), (i2, _, _, w2), (_, j3, v3, _) = before
+        assert j1 == i2 and v1 == j3 and w2 == v3
+        (_, j1, v1, _), (i2, _, _, w2), (i3, _, _, w3) = (
+            cr.quadruple for cr in build_good_diagram(link2, DIR_Z).crossings)
+        assert j1 == i2 and w2 == i3 and v1 == w3
 
     def test_relabel_matches_rebuilt_diagram(self):
-        link = load_fixture("riii")
+        link, link2 = self.riii_links()
         d = build_good_diagram(link, DIR_Z)
-        predicted = set(riii_relabel(tuple(cr.quadruple for cr in d.crossings)))
-        moved = {2: (0, 3, 3), 5: (3, F(-3, 2), 2), 8: (-3, -1, -1)}
-        comps = [[moved.get(gi, link.vertex(gi)) for gi in range(1, 10)]]
-        link2 = PolygonalLink.from_lists(comps)
-        assert validate_link(link2) == []
         d2 = build_good_diagram(link2, DIR_Z)
-        assert {cr.quadruple for cr in d2.crossings} == predicted
+        assert [cr.quadruple for cr in d2.crossings] == self.RELABELED
         assert (sorted(cr.sign for cr in d2.crossings)
                 == sorted(cr.sign for cr in d.crossings))
         assert homology_of(link) == homology_of(link2)
@@ -350,7 +366,7 @@ class TestAlgebraicUpdates:
                 if sigma(p) == intact and sigma(intact) == p:
                     continue            # the discarded half
                 kept += 1
-                g = deformed_generator(move, vx.state)
+                g = generator_reference(move, vx.state.successor)
                 # walked from its least member, as cycle_partition's are
                 cyc = next(c for c in renumbered(g, p).cycles()
                            if _renumber_index(x, p) in c)
@@ -378,7 +394,7 @@ class TestAlgebraicUpdates:
         _move, _link2, diagram2 = apply_move(bigger, DIR_Z, 2)
         rebuilt = build_cube(diagram2)
         for word, vx in cube.vertices.items():
-            g = deformed_generator(move, vx.state)
+            g = generator_reference(move, vx.state.successor)
             renum = renumbered(g, move.p)
             cyc = cycle_containing(renum, _renumber_index(move.l, move.p))
             assert (min(cyc, (cyc[0],) + tuple(reversed(cyc[1:])))
@@ -397,7 +413,7 @@ class TestAlgebraicUpdates:
             assert move.tag == tag
             cube = build_cube(diagram)
             for vx in cube.vertices.values():
-                g = deformed_generator(move, vx.state)
+                g = generator_reference(move, vx.state.successor)
                 assert g(move.p) == move.p
 
 
@@ -422,17 +438,31 @@ class TestPermutationAlgebraReference:
         assert tags == {"C1", "C2", "C3"}
 
     def test_generator_matches_reference(self):
-        # every vertex, the discarded halves of C2/C3 included: there the
-        # cycles through x and y may be distinct
+        # C1, C4 and C5 keep every crossing, so each word names the same
+        # smoothing before and after the move; at every vertex the
+        # reference's deformed cycle, renumbered, is a circle of the
+        # rebuilt smoothing
         tags = set()
-        for name, _link, _dir, diagram, move in classified_removals(
-                ("C1", "C2", "C3", "C4", "C5")):
+        for name, link, direction, diagram, move in classified_removals(
+                ("C1", "C4", "C5")):
             tags.add(move.tag)
+            p = move.p
+            _move, _link2, diagram2 = apply_move(link, direction, p)
+            assert ([cr.quadruple for cr in diagram2.crossings]
+                    == [cr.quadruple for cr in
+                        moves._deformed_diagram(diagram, move).crossings])
+            rebuilt = build_cube(diagram2)
             for word, vx in build_cube(diagram).vertices.items():
-                assert (deformed_generator(move, vx.state)
-                        == generator_reference(move, vx.state.successor)), \
+                sigma = vx.state.successor
+                x = _renumber_index(sigma(p), p)
+                # walked from its least member, as cycle_partition's are
+                cyc = next(c for c in renumbered(
+                    generator_reference(move, sigma), p).cycles() if x in c)
+                assert (min(cyc, (cyc[0],) + tuple(reversed(cyc[1:])))
+                        in cycle_partition(rebuilt.vertices[word].state
+                                           .successor)), \
                     f"{name} {move.log_line()} {word}"
-        assert tags == {"C1", "C2", "C3", "C4", "C5"}
+        assert tags == {"C1", "C4", "C5"}
 
 
 class TestApplyMove:
