@@ -60,11 +60,17 @@ def _count(text: str) -> int:
     return value
 
 
-def _parse_order(text: str):
+def _parse_order(text: str, k: int):
+    """``--order`` as a tuple; a usage error (exit 2) unless it is a
+    permutation of the diagram's crossings 1..k."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        order = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise LinkFileError(f"bad order {text!r}: expected comma-separated integers")
+    if sorted(order) != list(range(1, k + 1)):
+        raise LinkFileError(f"bad order {text!r}: expected a permutation of "
+                            f"the crossings 1..{k}")
+    return order
 
 
 def _pipeline(args) -> tuple[GoodDiagram, PolygonalLink, tuple]:
@@ -155,7 +161,7 @@ def cube_dump(cube: Cube) -> str:
 
 def cmd_cube(args) -> int:
     diagram, _link, _direction = _pipeline(args)
-    order = _parse_order(args.order) if args.order else None
+    order = _parse_order(args.order, diagram.k) if args.order else None
     cube = build_cube(diagram, order=order)
     text = cube_dump(cube)
     _emit(text, args.output)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .geometry import (ComponentNeighbours, PolygonalLink, Projection, Vec2,
-                       Vec3, GeometryError, project_link, is_good_projection,
-                       refine_to_good, find_regular_direction, sub2, cross2)
+from .exact import GeometryError, Vec2, Vec3, cross2, sub2
+from .geometry import (ComponentNeighbours, PolygonalLink, Projection,
+                       project_link, is_good_projection, refine_to_good,
+                       find_regular_direction)
 from .perm import Permutation
 
 

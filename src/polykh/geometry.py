@@ -1,16 +1,12 @@
-"""Exact rational geometry for closed polygonal curves in 3-space.
+"""Closed polygonal curves in 3-space, in exact rational coordinates:
+validation, projection along a direction, triangle deformations and
+refinement to a good diagram.
 
-Coordinates are ``fractions.Fraction``s, and nothing here ever touches
-floating point, so re-running any test gives the same answer bit for bit.
-The O(E^2) loops (link validation, regularity and projection, triangle
-obstructions) do not run on Fractions: a point list is scaled once to
-``int`` coordinates by the lcm of its denominators (``_integral``), which
-changes no orientation sign and no segment parameter, and the predicates
-multiply plain ints.  Fractions are made only on a hit, for its parameters,
-its point and the values that leave this module.  Per-call tuples are built
-from lists, not generators: ``tuple()`` of a generator allocates a small
-tuple and resizes it, the resized tuples collect in CPython's tuple free
-lists, and peak RSS grew with each repetition of the same work.
+The predicates come from ``polykh.exact``: the O(E^2) loops (link
+validation, regularity and projection) and the triangle checks run on the
+link's points scaled once to ints (``_integral``).  Fractions are made only
+on a hit, for its parameters, its point and the values that leave this
+module.
 """
 
 from __future__ import annotations
@@ -19,17 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Vec3 = tuple[Fraction, Fraction, Fraction]
-Vec2 = tuple[Fraction, Fraction]
-
-ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
-
-
-class GeometryError(ValueError):
-    pass
+from .exact import (GeometryError, Vec2, Vec3, ZERO3, _integral, _seg2_hit,
+                    _seg3_hit, add3, collinear3, cross3, dot3, scale3,
+                    segment_meets_triangle_beyond, sub3, vec3)
 
 
 class DeformationError(GeometryError):
@@ -40,67 +31,6 @@ class DirectionSearchError(GeometryError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def vec3(x, y, z) -> Vec3:
-    return (Fraction(x), Fraction(y), Fraction(z))
-
-
-def sub3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def add3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def scale3(a: Vec3, s) -> Vec3:
-    s = Fraction(s)
-    return (a[0] * s, a[1] * s, a[2] * s)
-
-
-def dot3(a: Vec3, b: Vec3) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross3(a: Vec3, b: Vec3) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def cross2(a: Vec2, b: Vec2) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def sub2(a: Vec2, b: Vec2) -> Vec2:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def orient2(a: Vec2, b: Vec2, c: Vec2) -> Fraction:
-    return cross2(sub2(b, a), sub2(c, a))
-
-
-def orient3(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Fraction:
-    return dot3(cross3(sub3(b, a), sub3(c, a)), sub3(d, a))
-
-
-def collinear3(a: Vec3, b: Vec3, c: Vec3) -> bool:
-    return cross3(sub3(b, a), sub3(c, a)) == ZERO3
-
-
-def _integral(points) -> tuple[list[tuple[int, ...]], int]:
-    """``points`` scaled to int coordinates by the lcm of their
-    denominators, and that lcm.
-
-    A positive scale changes no orientation sign and no segment parameter,
-    so every predicate below can run on the scaled points.
-    """
-    m = lcm(*{c.denominator for p in points for c in p})
-    return [tuple([c.numerator * (m // c.denominator) for c in p])
-            for p in points], m
 
 
 # ---------------------------------------------------------------------------
@@ -288,103 +218,6 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# segment intersection, 3D and 2D
-
-
-def _seg3_hit(a, b, c, d):
-    """Intersection of the closed segments ab and cd, on int points, with
-    parameters along ab.
-
-    Returns None, ("point", t, den) or ("overlap", t0, t1, den): the
-    parameters are t/den, t0/den < t1/den, with den > 0.
-    """
-    u, w, ca = sub3(b, a), sub3(d, c), sub3(c, a)
-    nrm = cross3(u, w)
-    if dot3(nrm, ca) != 0:
-        return None         # not coplanar
-    if nrm == ZERO3:
-        # parallel; intersect only if collinear
-        if cross3(ca, u) != ZERO3:
-            return None
-        uu = dot3(u, u)
-        if uu == 0:
-            raise GeometryError("degenerate segment")
-        t0, t1 = sorted((dot3(ca, u), dot3(sub3(d, a), u)))
-        lo, hi = max(t0, 0), min(t1, uu)
-        if lo > hi:
-            return None
-        return ("point", lo, uu) if lo == hi else ("overlap", lo, hi, uu)
-    # coplanar, non-parallel: reduce to 2D along dominant normal axis
-    k = max(range(3), key=lambda i: abs(nrm[i]))
-    x, y = [i for i in range(3) if i != k]
-    hit = _seg2_hit((a[x], a[y]), (b[x], b[y]), (c[x], c[y]), (d[x], d[y]))
-    if hit is None:
-        return None
-    if hit[0] == "point":
-        return ("point", hit[1], hit[3])
-    return hit
-
-
-def seg2_intersection(p: Vec2, p2: Vec2, q: Vec2, q2: Vec2):
-    """Intersection of closed planar segments.
-
-    Returns None, ("point", (t, s, point)) or ("overlap", (t0, t1)) with
-    parameters along the first segment.
-    """
-    hit = _seg2_hit(*_integral((p, p2, q, q2))[0])
-    if hit is None:
-        return None
-    tag, a, b, den = hit
-    if tag == "overlap":
-        return ("overlap", (Fraction(a, den), Fraction(b, den)))
-    t = Fraction(a, den)
-    r = sub2(p2, p)
-    return ("point", (t, Fraction(b, den), (p[0] + t * r[0], p[1] + t * r[1])))
-
-
-def _seg2_hit(p, p2, q, q2):
-    """``seg2_intersection`` on int points, without Fractions.
-
-    Returns None, ("point", t, s, den) or ("overlap", t0, t1, den): the
-    parameters are t/den along pp2 and s/den along qq2 (s is 0 when the
-    segments are collinear and touch in one point), always with den > 0.
-    """
-    rx, ry = p2[0] - p[0], p2[1] - p[1]
-    sx, sy = q2[0] - q[0], q2[1] - q[1]
-    qx, qy = q[0] - p[0], q[1] - p[1]
-    den = rx * sy - ry * sx
-    if den:
-        t = qx * sy - qy * sx
-        s = qx * ry - qy * rx
-        if den < 0:
-            den, t, s = -den, -t, -s
-        if 0 <= t <= den and 0 <= s <= den:
-            return ("point", t, s, den)
-        return None
-    if qx * ry - qy * rx:
-        return None         # parallel, on different lines
-    rr = rx * rx + ry * ry
-    if rr == 0:
-        raise GeometryError("degenerate segment")
-    t0 = qx * rx + qy * ry
-    t1 = t0 + sx * rx + sy * ry
-    t0, t1 = min(t0, t1), max(t0, t1)
-    lo, hi = max(t0, 0), min(t1, rr)
-    if lo > hi:
-        return None
-    if lo == hi:
-        return ("point", lo, 0, rr)
-    return ("overlap", lo, hi, rr)
-
-
-def point_on_seg2(x: Vec2, a: Vec2, b: Vec2) -> bool:
-    if orient2(a, b, x) != 0:
-        return False
-    return (min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
-
-
-# ---------------------------------------------------------------------------
 # projection along a direction
 
 
@@ -481,48 +314,76 @@ def _project(link: PolygonalLink, direction: Vec3):
         images[q] = gi
 
     edges = link.edges()
-    for gi, q in enumerate(img, start=1):
+    for gi, (qx, qy) in enumerate(img, start=1):
         for (a, b) in edges:
-            if gi != a and gi != b and point_on_seg2(q, img[a - 1], img[b - 1]):
+            (ax, ay), (bx, by) = img[a - 1], img[b - 1]
+            if ((bx - ax) * (qy - ay) == (by - ay) * (qx - ax)
+                    and gi != a and gi != b
+                    and min(ax, bx) <= qx <= max(ax, bx)
+                    and min(ay, by) <= qy <= max(ay, by)):
                 return ("vertex_on_edge", (gi, (a, b))), None
 
     depth = [dot3(d, p) for p in pts]      # scale * height
     crossings = []
     double_points: dict[Vec2, tuple] = {}
     for idx1, e1 in enumerate(edges):
-        a1, b1 = e1
-        p, p2 = img[a1 - 1], img[b1 - 1]
-        for idx2 in range(idx1 + 1, len(edges)):
-            e2 = a2, b2 = edges[idx2]
-            hit = _seg2_hit(p, p2, img[a2 - 1], img[b2 - 1])
-            if hit is None:
-                continue
-            tag, t, s, den = hit
-            if tag == "overlap":
-                return ("segment_overlap", (e1, e2)), None
-            if a1 in e2 or b1 in e2:
-                # vertex images are distinct, so the hit is the common
-                # vertex exactly when it sits at that end of e1
-                if (t == 0 and a1 in e2) or (t == den and b1 in e2):
-                    continue
-                return ("adjacent_crossing", (e1, e2)), None
-            # vertex-on-edge already excluded, so this is interior-interior
-            pt = (Fraction(p[0] * den + t * (p2[0] - p[0]), den * scale),
-                  Fraction(p[1] * den + t * (p2[1] - p[1]), den * scale))
-            if pt in double_points:
-                return ("triple_point", (double_points[pt], (e1, e2))), None
-            double_points[pt] = (e1, e2)
-            # den * scale * height of each edge at the crossing
-            h1 = depth[a1 - 1] * den + t * (depth[b1 - 1] - depth[a1 - 1])
-            h2 = depth[a2 - 1] * den + s * (depth[b2 - 1] - depth[a2 - 1])
-            t, s = Fraction(t, den), Fraction(s, den)
-            if h1 > h2:
-                crossings.append(RawCrossing(e1, e2, pt, t, s))
-            else:
-                crossings.append(RawCrossing(e2, e1, pt, s, t))
+        for e2, *hit in _meetings(e1, img[e1[0] - 1], img[e1[1] - 1],
+                                  edges[idx1 + 1:], img):
+            if len(hit) == 1:
+                return (hit[0], (e1, e2)), None
+            cr = _raw_crossing(e1, e2, *hit, img, depth, scale)
+            if cr.point in double_points:
+                return ("triple_point", (double_points[cr.point], (e1, e2))), None
+            double_points[cr.point] = (e1, e2)
+            crossings.append(cr)
     chart = tuple([tuple([Fraction(x, c) for x in w]) for w in (u, v)])
     points2d = tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in img])
     return None, Projection(link, direction, chart, points2d, tuple(crossings))
+
+
+def _meetings(e1, p, p2, edges, img):
+    """Where the image p p2 of edge e1 meets the images of ``edges``, in
+    order, passing over a common vertex: (e2, t, s, den) for a crossing at
+    parameters t/den along e1 and s/den along e2, interior to both; else
+    (e2, witness tag), and nothing after it."""
+    a1, b1 = e1
+    for e2 in edges:
+        hit = _seg2_hit(p, p2, img[e2[0] - 1], img[e2[1] - 1])
+        if hit is None:
+            continue
+        tag, t, s, den = hit
+        if tag == "overlap":
+            yield e2, "segment_overlap"
+            return
+        if a1 in e2 or b1 in e2:
+            # vertex images are distinct, so the hit is the common vertex
+            # exactly when it sits at that end of e1
+            if (t == 0 and a1 in e2) or (t == den and b1 in e2):
+                continue
+            yield e2, "adjacent_crossing"
+            return
+        if t == 0 or t == den or s == 0 or s == den:
+            yield e2, "vertex_on_edge"
+            return
+        yield e2, t, s, den
+
+
+def _raw_crossing(e1, e2, t, s, den, img, depth, scale) -> RawCrossing:
+    """The crossing of the images of edges e1 and e2 at parameters t/den
+    along e1 and s/den along e2, given ``img`` and ``depth``, the vertex
+    images and heights times ``scale``: the edge that is higher there is
+    the over edge."""
+    (a1, b1), (a2, b2) = e1, e2
+    p, p2 = img[a1 - 1], img[b1 - 1]
+    pt = (Fraction(p[0] * den + t * (p2[0] - p[0]), den * scale),
+          Fraction(p[1] * den + t * (p2[1] - p[1]), den * scale))
+    # den * scale * height of each edge at the crossing
+    h1 = depth[a1 - 1] * den + t * (depth[b1 - 1] - depth[a1 - 1])
+    h2 = depth[a2 - 1] * den + s * (depth[b2 - 1] - depth[a2 - 1])
+    t, s = Fraction(t, den), Fraction(s, den)
+    if h1 > h2:
+        return RawCrossing(e1, e2, pt, t, s)
+    return RawCrossing(e2, e1, pt, s, t)
 
 
 def find_regular_direction(link: PolygonalLink, seed: int = 0,
@@ -550,69 +411,21 @@ def find_regular_direction(link: PolygonalLink, seed: int = 0,
 # triangle deformations
 
 
-def _clip_seg_to_triangle2(p: Vec2, q: Vec2, tri: tuple[Vec2, Vec2, Vec2]):
-    """Parameter interval [t0,t1] of segment pq inside the closed triangle, or None."""
+def _obstruction(pts, edges, tri, ends):
+    """The first of ``edges``, index pairs into the points ``pts``, that
+    meets the closed triangle ``tri`` anywhere but at its own ends among the
+    indices ``ends``; None if none does."""
     a, b, c = tri
-    orient = orient2(a, b, c)
-    if orient == 0:
-        raise GeometryError("degenerate triangle")
-    lo, hi = Fraction(0), Fraction(1)
-    for (e1, e2) in ((a, b), (b, c), (c, a)):
-        f0 = orient2(e1, e2, p) * (1 if orient > 0 else -1)
-        f1 = orient2(e1, e2, q) * (1 if orient > 0 else -1)
-        if f0 < 0 and f1 < 0:
-            return None
-        if f0 < 0 or f1 < 0:
-            t = Fraction(f0, f0 - f1)
-            if f0 < 0:
-                lo = max(lo, t)
-            else:
-                hi = min(hi, t)
-        if lo > hi:
-            return None
-    return (lo, hi)
-
-
-def _point_in_triangle2(x: Vec2, tri) -> bool:
-    a, b, c = tri
-    o = orient2(a, b, c)
-    sgn = 1 if o > 0 else -1
-    return all(orient2(e1, e2, x) * sgn >= 0 for (e1, e2) in ((a, b), (b, c), (c, a)))
-
-
-def segment_meets_triangle_beyond(p: Vec3, q: Vec3, tri: tuple[Vec3, Vec3, Vec3],
-                                  allowed: Sequence[Vec3]) -> bool:
-    """True if segment pq touches the closed triangle anywhere outside ``allowed``.
-
-    The points may be Fractions or ints at any common scale.
-    """
-    a, b, c = tri
-    d1 = orient3(a, b, c, p)
-    d2 = orient3(a, b, c, q)
-    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
-        return False
     nrm = cross3(sub3(b, a), sub3(c, a))
     if nrm == ZERO3:
         raise GeometryError("degenerate triangle")
-    k = max(range(3), key=lambda i: abs(nrm[i]))
-    keep = [i for i in range(3) if i != k]
-    flat = lambda v: (v[keep[0]], v[keep[1]])
-    tri2 = (flat(a), flat(b), flat(c))
-    if d1 == 0 and d2 == 0:
-        clip = _clip_seg_to_triangle2(flat(p), flat(q), tri2)
-        if clip is None:
-            return False
-        t0, t1 = clip
-        if t0 == t1:
-            x = add3(p, scale3(sub3(q, p), t0))
-            return x not in allowed
-        return True  # a whole subsegment lies in the triangle
-    if d1 == 0 or d2 == 0:
-        x = p if d1 == 0 else q
-        return _point_in_triangle2(flat(x), tri2) and x not in allowed
-    t = Fraction(d1, d1 - d2)
-    x = add3(p, scale3(sub3(q, p), t))
-    return _point_in_triangle2(flat(x), tri2) and x not in allowed
+    height = [dot3(nrm, sub3(p, a)) for p in pts]
+    for i, j in edges:
+        if height[i - 1] * height[j - 1] <= 0 and segment_meets_triangle_beyond(
+                pts[i - 1], pts[j - 1], height[i - 1], height[j - 1], tri,
+                [pts[g - 1] for g in (i, j) if g in ends]):
+            return i, j
+    return None
 
 
 def triangle_obstruction(link: PolygonalLink, gl: int, gm: int,
@@ -624,14 +437,9 @@ def triangle_obstruction(link: PolygonalLink, gl: int, gm: int,
     clear, else the offending edge.
     """
     pts, _ = _integral(link.all_vertices() + [apex])
-    tri = (pts[gl - 1], pts[-1], pts[gm - 1])
-    for (a, b) in link.edges():
-        if {a, b} == {gl, gm}:
-            continue
-        allowed = [pts[g - 1] for g in (a, b) if g in (gl, gm)]
-        if segment_meets_triangle_beyond(pts[a - 1], pts[b - 1], tri, allowed):
-            return (a, b)
-    return None
+    edges = [e for e in link.edges() if {*e} != {gl, gm}]
+    return _obstruction(pts, edges, (pts[gl - 1], pts[-1], pts[gm - 1]),
+                        (gl, gm))
 
 
 def deform_add_vertex(link: PolygonalLink, ci: int, pos: int,
@@ -685,14 +493,9 @@ def deform_remove_vertex(link: PolygonalLink, gp: int) -> PolygonalLink:
 
 
 def _badness(proj: Projection) -> int:
-    per_edge: dict[tuple[int, int], int] = {}
-    adjacent = 0
-    for cr in proj.crossings:
-        for e in (cr.over_edge, cr.under_edge):
-            per_edge[e] = per_edge.get(e, 0) + 1
-        if len({*cr.over_edge, *cr.under_edge}) < 4:
-            adjacent += 1
-    return sum(c - 1 for c in per_edge.values() if c > 1) + adjacent
+    """The crossings beyond the first on each edge image."""
+    edges = [e for cr in proj.crossings for e in (cr.over_edge, cr.under_edge)]
+    return len(edges) - len(set(edges))
 
 
 def is_good_projection(proj: Projection) -> bool:
@@ -702,7 +505,8 @@ def is_good_projection(proj: Projection) -> bool:
 def refine_to_good(link: PolygonalLink, direction: Vec3,
                    max_rounds: int = 500) -> PolygonalLink:
     """Insert vertices (type-I deformations) until every edge image carries
-    at most one crossing and every crossing involves four distinct vertices.
+    at most one crossing.  ``link`` must be valid, as ``load_link`` and the
+    deformations leave it.
 
     New vertices sit at the midpoint between two crossing parameters, pushed
     off the edge along the rational direction (edge x dir); the push size is
@@ -713,9 +517,9 @@ def refine_to_good(link: PolygonalLink, direction: Vec3,
     for _ in range(max_rounds):
         bad = _badness(proj)
         if bad == 0:
-            return link
-        target = _pick_refinement_target(proj)
-        link, proj = _insert_refinement_vertex(link, direction, proj, target, bad)
+            return proj.link
+        proj = _insert_refinement_vertex(proj, _pick_refinement_target(proj),
+                                         bad)
     raise GeometryError("refinement did not converge")
 
 
@@ -736,8 +540,9 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _pick_refinement_target(proj: Projection):
-    """(edge, base parameter t) for the next vertex insertion."""
-    link = proj.link
+    """(edge, base parameter t) for the next vertex insertion: between the
+    first two crossings on the first edge that carries two.  A regular
+    projection has no crossing of two edges that share a vertex."""
     per_edge: dict[tuple[int, int], list[Fraction]] = {}
     for cr in proj.crossings:
         per_edge.setdefault(cr.over_edge, []).append(cr.t_over)
@@ -746,16 +551,6 @@ def _pick_refinement_target(proj: Projection):
         if len(ts) >= 2:
             t1, t2 = sorted(ts)[:2]
             return (edge, _simplest_between(t1, t2))
-    for cr in proj.crossings:
-        common = {*cr.over_edge} & {*cr.under_edge}
-        if not common:
-            continue
-        x = common.pop()
-        # subdivide the over edge between the shared vertex and the crossing
-        edge, t = cr.over_edge, cr.t_over
-        base = (_simplest_between(Fraction(0), t) if edge[0] == x
-                else _simplest_between(t, Fraction(1)))
-        return (edge, base)
     raise GeometryError("no refinement target found")  # pragma: no cover
 
 
@@ -765,8 +560,9 @@ def _pick_refinement_target(proj: Projection):
 # 2^-DENOMINATOR_BITS, so all rounded vertices share one denominator and the
 # lcm that _integral scales by stays small.  The benchmark's refinements
 # stay below the cap: at most 33 bits over 375 corpus links along both
-# directions, and 107 over the random links of 400 cube-moves seeds.  Each
-# bit of cap costs time on twist12: 6.5 s at 64 bits, 11 s at 128.
+# directions, and 107 over the random links of 400 cube-moves seeds.  With
+# candidates checked in O(E) the cap costs little: twist12's diagram takes
+# 0.23-0.27 s at 64 bits and 0.29-0.32 s at 128 (in-process, 2-core Xeon).
 DENOMINATOR_BITS = 128
 
 
@@ -779,40 +575,133 @@ def _capped(point: Vec3) -> Vec3:
     return tuple(Fraction(round(c * unit), unit) for c in point)
 
 
-def _insert_refinement_vertex(link, direction, proj, target, old_badness):
-    (ga, gb), t = target
-    pa, pb = link.vertex(ga), link.vertex(gb)
+def _insert_refinement_vertex(proj: Projection, target,
+                              old_badness: int) -> Projection:
+    """The projection of ``proj.link`` with a vertex inserted on the target
+    edge (gl, gm): the first candidate, pushed off the edge in halving
+    steps, that keeps the link valid and the projection regular, with as
+    many crossings and a lower badness.
+
+    It equals what ``deform_add_vertex`` and ``_project`` give, but neither
+    runs per candidate: ``_new_crossings`` checks a candidate in O(E), and
+    the old crossings off the replaced edge, renumbered and merged with the
+    new ones in edge-pair order, are the new projection's.
+    """
+    link, direction = proj.link, proj.direction
+    (gl, gm), t = target
+    pa, pb = link.vertex(gl), link.vertex(gm)
     base = add3(pa, scale3(sub3(pb, pa), t))
     push = cross3(sub3(pb, pa), direction)
     if push == ZERO3:
         raise GeometryError("edge parallel to projection direction")
     m = max(abs(c) for c in push)
     push = scale3(push, Fraction(1, m))  # max-norm 1, still rational
-    ci = link.component_of(ga)
-    lo, _ = link.component_range(ci)
-    pos = ga - lo
-    k_before = len(proj.crossings)
+    check = _new_crossings(proj, gl, gm)
+    # the new vertex is gl + 1, and every later index moves up by one
+    kept = [RawCrossing(*[tuple([g + (g > gl) for g in e])
+                          for e in (cr.over_edge, cr.under_edge)],
+                        cr.point, cr.t_over, cr.t_under)
+            for cr in proj.crossings
+            if (gl, gm) not in (cr.over_edge, cr.under_edge)]
+    kept_edges = [e for cr in kept for e in (cr.over_edge, cr.under_edge)]
     scale = Fraction(1, 4)
     rounded = False
     for _ in range(80):
-        for sign in (1, -1):
-            exact = add3(base, scale3(push, sign * scale))
+        step = scale3(push, scale)
+        for exact in (add3(base, step), sub3(base, step)):
             cand = _capped(exact)
             rounded |= cand is not exact
-            try:
-                new_link = deform_add_vertex(link, ci, pos, cand)
-            except DeformationError:
+            found = check(cand)
+            if found is None or len(found[-1]) + len(kept) != len(proj.crossings):
                 continue
-            witness, new_proj = _project(new_link, direction)
-            if witness is not None:
-                continue
-            if len(new_proj.crossings) != k_before:
-                continue
-            if _badness(new_proj) >= old_badness:
-                continue
-            return new_link, new_proj
+            edges = kept_edges + [e for hit in found[-1] for e in hit[:2]]
+            if len(edges) - len(set(edges)) < old_badness:
+                return _inserted(proj, gl, cand, kept, *found)
         scale /= 2
     raise GeometryError(
-        f"could not place refinement vertex on edge ({ga},{gb})"
+        f"could not place refinement vertex on edge ({gl},{gm})"
         + (f" with coordinates rounded to denominators of at most "
            f"{DENOMINATOR_BITS} bits" if rounded else ""))
+
+
+def _new_crossings(proj: Projection, gl: int, gm: int):
+    """A check of the candidate vertices on edge (gl, gm) of the valid link
+    of the regular projection ``proj``, numbered gl + 1.  It returns None
+    if inserting a candidate leaves the link invalid or its projection not
+    regular, else (the new link's int points, their images, their scale, and
+    the crossings of the new edges as (new edge, other edge, t, s, den)).
+
+    Only the new vertex and its two edges are new, so of the checks that
+    ``validate_link`` and ``_project`` run on the whole new link, those
+    that do not involve them pass already.  The rest are:
+    - in 3D, the triangle (gl, new, gm) is clear, the new point repeats no
+      vertex and its three new consecutive triples are not collinear.  A new
+      edge that met another edge would obstruct the triangle.
+    - in the plane, the new image repeats no image, and each new edge meets
+      the other edges only at their common vertex or in crossings interior
+      to both (``_meetings``): an image on an edge is a hit at an end.
+      Every triple point would lie twice on one new edge, at one parameter.
+    The old link's int points, images and edges are made once.
+    """
+    link = proj.link
+    pts0, m = link._scaled
+    (d,), _ = _integral((proj.direction,))
+    u, v = chart_basis(d)
+    img0 = [(dot3(u, p), dot3(v, p)) for p in pts0]
+    n, gp, gs = gl + 1, link.predecessor(gl), link.successor(gm)
+    gm, gp, gs = [g + (g > gl) for g in (gm, gp, gs)]
+    others = [(a + (a > gl), b + (b > gl)) for a, b in link.edges() if a != gl]
+
+    def check(cand: Vec3):
+        g = 1
+        for x in cand:
+            g = lcm(g, x.denominator // gcd(x.denominator, m))
+        new = tuple([x.numerator * (m * g // x.denominator) for x in cand])
+        pts = [(x * g, y * g, z * g) for x, y, z in pts0]
+        pts.insert(gl, new)
+        a, b = pts[gl - 1], pts[gm - 1]
+        if (collinear3(a, new, b) or pts.count(new) > 1
+                or collinear3(pts[gp - 1], a, new)
+                or collinear3(new, b, pts[gs - 1])
+                or _obstruction(pts, others, (a, new, b), (gl, gm))):
+            return None
+        q = (dot3(u, new), dot3(v, new))
+        img = [(x * g, y * g) for x, y in img0]
+        img.insert(gl, q)
+        if img.count(q) > 1:
+            return None
+        hits, params = [], set()
+        for e1, edges in (((gl, n), others + [(n, gm)]), ((n, gm), others)):
+            for e2, *hit in _meetings(e1, img[e1[0] - 1], img[e1[1] - 1],
+                                      edges, img):
+                if len(hit) == 1:
+                    return None
+                t, s, den = hit
+                k = gcd(t, den)
+                if (e1, t // k, den // k) in params:
+                    return None
+                params.add((e1, t // k, den // k))
+                hits.append((e1, e2, t, s, den))
+        return pts, img, m * g, hits
+    return check
+
+
+def _inserted(proj, gl, cand, kept, pts, img, scale, hits) -> Projection:
+    """The projection of ``proj.link`` with ``cand`` inserted after vertex
+    gl, from the crossings kept from ``proj`` and what ``_new_crossings``
+    returned for ``cand``: the crossings come in ``_project``'s order."""
+    link, direction = proj.link, proj.direction
+    (d,), c = _integral((direction,))
+    scale *= c
+    depth = [dot3(d, p) for p in pts]
+    crossings = sorted(
+        kept + [_raw_crossing(*hit, img, depth, scale) for hit in hits],
+        key=lambda cr: sorted((cr.over_edge, cr.under_edge)))
+    points2d = list(proj.points2d)
+    points2d.insert(gl, (Fraction(img[gl][0], scale),
+                         Fraction(img[gl][1], scale)))
+    ci = link.component_of(gl)
+    new_link = link.with_vertex_inserted(
+        ci, gl - link.component_range(ci)[0], cand)
+    return Projection(new_link, direction, proj.chart, tuple(points2d),
+                      tuple(crossings))

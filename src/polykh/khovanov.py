@@ -134,14 +134,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise KhovanovError("negative powers not supported")
-        out = LaurentPoly.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def shifted(self, by: int) -> "LaurentPoly":
         return LaurentPoly({e + by: c for e, c in self.coeffs.items()})
 
@@ -195,12 +187,13 @@ def jones_state_sum(cube: Cube) -> LaurentPoly:
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
     # vertices with the same (r, c) contribute the same term
     counts = Counter((sum(word), vx.c) for word, vx in cube.vertices.items())
-    total = LaurentPoly.zero()
-    circ = LaurentPoly.circle()
+    coeffs: dict[int, int] = defaultdict(int)
     for (r, c), mult in counts.items():
-        sign = -1 if (r + km) % 2 else 1
-        total = total + (circ ** c).shifted(r + kp - 2 * km) * (sign * mult)
-    return total
+        # (q + q^-1)^c = sum over p of C(c, p) q^(c - 2p)
+        shift, sign = r + kp - 2 * km, -1 if (r + km) % 2 else 1
+        for p in range(c + 1):
+            coeffs[c - 2 * p + shift] += sign * mult * comb(c, p)
+    return LaurentPoly(coeffs)
 
 
 def normalized_jones(j_hat: LaurentPoly) -> LaurentPoly:

@@ -20,9 +20,9 @@ from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       build_good_diagram, crossing_sign)
 from .cube import (Cube, _crossing_arcs, _full_smoothing, _made_cube,
                    _right_swap, _reversed_cycles)
-from .geometry import (PolygonalLink, DeformationError, seg2_intersection,
-                       point_on_seg2, _point_in_triangle2, orient2,
-                       deform_remove_vertex)
+from .exact import (seg2_intersection, point_on_seg2, _point_in_triangle2,
+                    orient2)
+from .geometry import PolygonalLink, DeformationError, deform_remove_vertex
 
 
 class MoveError(ValueError):

@@ -12,8 +12,11 @@ from hypothesis import settings, strategies as st
 from polykh import (PolygonalLink, LinkFileError, validate_link, load_fixture,
                     build_good_diagram, build_cube)
 from polykh import randlinks
-from polykh.geometry import (GeometryError, find_regular_direction,
-                             project_link, refine_to_good)
+from polykh import geometry
+from polykh.exact import add3, cross3, scale3, sub3
+from polykh.geometry import (GeometryError, DeformationError,
+                             find_regular_direction, project_link,
+                             refine_to_good)
 from polykh.perm import DihedralFactor, PermError, Permutation
 
 settings.register_profile("deterministic", derandomize=True)
@@ -257,7 +260,13 @@ def random_link(rng: random.Random) -> PolygonalLink:
 
 def random_diagram(rng: random.Random, k_max: int = 6):
     """A random link with a good diagram of at most ``k_max`` crossings;
-    returns (diagram, refined link, direction).  Deterministic in ``rng``.
+    returns (diagram, refined link, direction).  Deterministic in ``rng``."""
+    return random_refinement(rng, k_max)[:3]
+
+
+def random_refinement(rng: random.Random, k_max: int = 6):
+    """``random_diagram`` and the link before refinement: (diagram, refined
+    link, direction, link).
 
     Refinement keeps the crossing count of the raw projection and draws
     nothing from the generator, so candidates are screened on the raw count
@@ -272,9 +281,65 @@ def random_diagram(rng: random.Random, k_max: int = 6):
             if len(project_link(link, direction).crossings) > k_max:
                 continue
             refined = refine_to_good(link, direction)
-            return build_good_diagram(refined, direction), refined, direction
+            return (build_good_diagram(refined, direction), refined,
+                    direction, link)
         except GeometryError:
             continue
+
+
+def reference_insertion(proj, target, cand):
+    """The projection of ``proj.link`` with ``cand`` inserted on the target
+    edge, or None: ``deform_add_vertex`` checks the triangle and then
+    validates the whole new link, which is then projected whole, and None
+    means that either refused it.  The reference for the O(E) candidate
+    check of ``refine_to_good``."""
+    link = proj.link
+    ga = target[0][0]
+    ci = link.component_of(ga)
+    try:
+        new_link = geometry.deform_add_vertex(
+            link, ci, ga - link.component_range(ci)[0], cand)
+    except DeformationError:
+        return None
+    witness, new_proj = geometry._project(new_link, proj.direction)
+    return new_proj if witness is None else None
+
+
+def refinement_candidates(proj, target):
+    """The candidate vertices that refinement tries on the target edge, in
+    order: off the base point along edge x direction, in halving steps."""
+    (ga, gb), t = target
+    pa, pb = proj.link.vertex(ga), proj.link.vertex(gb)
+    base = add3(pa, scale3(sub3(pb, pa), t))
+    push = cross3(sub3(pb, pa), proj.direction)
+    push = scale3(push, F(1, max(abs(c) for c in push)))
+    scale = F(1, 4)
+    for _ in range(80):
+        for sign in (1, -1):
+            yield geometry._capped(add3(base, scale3(push, sign * scale)))
+        scale /= 2
+
+
+def reference_step(proj, target, old_badness):
+    """The projection after one refinement insertion: the first candidate
+    that ``reference_insertion`` takes, with as many crossings and a lower
+    badness."""
+    for cand in refinement_candidates(proj, target):
+        new = reference_insertion(proj, target, cand)
+        if (new is not None and len(new.crossings) == len(proj.crossings)
+                and geometry._badness(new) < old_badness):
+            return new
+    raise GeometryError(f"could not place refinement vertex on {target[0]}")
+
+
+def refine_reference(link, direction):
+    """The projection that ``refine_to_good`` ends with, each insertion made
+    by ``reference_step``."""
+    proj = project_link(link, direction)
+    while bad := geometry._badness(proj):
+        proj = reference_step(proj, geometry._pick_refinement_target(proj),
+                              bad)
+    return proj
 
 
 def torus_table(n: int, sign: int) -> dict[tuple[int, int], int]:

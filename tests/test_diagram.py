@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from polykh.geometry import cross2, sub2, seg2_intersection, chart_basis, dot3
+from polykh.exact import cross2, sub2, seg2_intersection, dot3
+from polykh.geometry import chart_basis
 from polykh.diagram import (GoodDiagram, CrossingRecord, crossing_sign,
                             build_good_diagram, good_diagram_auto)
 from polykh import load_fixture

@@ -1,24 +1,33 @@
 """Exact predicates, segment intersection, regularity, refinement, deformation."""
 
+from collections import Counter
 from fractions import Fraction as F
 import random
+
+import inspect
+import itertools
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polykh.exact import (orient2, orient3, seg2_intersection, dot3, cross3,
+                          sub3, add3, scale3, point_on_seg2, segment_meets_triangle_beyond,
+                          _clip_seg_to_triangle2, _point_in_triangle2,
+                          _integral, _seg3_hit)
 from polykh.geometry import (GeometryError, DeformationError,
                              DirectionSearchError, PolygonalLink,
-                             validate_link, orient2, orient3,
-                             seg2_intersection, chart_basis,
+                             validate_link, chart_basis,
                              regularity_witness, find_regular_direction,
                              refine_to_good, is_good_projection, project_link,
                              triangle_obstruction, deform_add_vertex,
-                             deform_remove_vertex, dot3, cross3, sub3,
-                             point_on_seg2, DENOMINATOR_BITS, _capped,
-                             _integral, _seg3_hit)
-from polykh import load_fixture, build_good_diagram
+                             deform_remove_vertex, DENOMINATOR_BITS, _capped)
+from polykh import geometry, load_fixture, build_good_diagram
 
-from conftest import DIR_Z, random_link
+from conftest import (DIR_Z, random_link, random_refinement,
+                      reference_insertion, reference_step,
+                      refinement_candidates, refine_reference)
 
 frac = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 pt2 = st.tuples(frac, frac)
@@ -78,6 +87,29 @@ def ref_seg3(a, b, c, d):
     if hit[0] == "point":
         return ("point", hit[1][0])
     return ("overlap", hit[1])
+
+
+def ref_meets_triangle(p, q, tri, allowed):
+    """``segment_meets_triangle_beyond`` on Fractions: the point where pq
+    reaches the triangle's plane, tested against the triangle in the plane
+    of its two least normal axes."""
+    a, b, c = tri
+    d1, d2 = orient3(a, b, c, p), orient3(a, b, c, q)
+    if d1 * d2 > 0:
+        return False
+    nrm = cross3(sub3(b, a), sub3(c, a))
+    k = max(range(3), key=lambda i: abs(nrm[i]))
+    flat = lambda v: tuple(v[i] for i in range(3) if i != k)
+    tri2 = [flat(v) for v in tri]
+    if d1 == d2 == 0:
+        clip = _clip_seg_to_triangle2(flat(p), flat(q), tri2)
+        if clip is None:
+            return False
+        x = tuple(p[i] + clip[0] * (q[i] - p[i]) for i in range(3))
+        return clip[0] != clip[1] or x not in allowed
+    t = F(d1, d1 - d2)
+    x = tuple(p[i] + t * (q[i] - p[i]) for i in range(3))
+    return _point_in_triangle2(flat(x), tri2) and x not in allowed
 
 
 def seg3_params(a, b, c, d):
@@ -266,6 +298,20 @@ class TestIntegerKernel:
             return
         assert seg3_params(*segs) == ref_seg3(*segs)
 
+    @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=5,
+                    max_size=5), st.booleans())
+    @settings(max_examples=300)
+    def test_triangle_kernel_matches_reference(self, points, ends_allowed):
+        # a grid of small ints gives corners, edges and planes in common
+        a, b, c, p, q = [tuple(map(F, v)) for v in points]
+        tri = (a, b, c)
+        if cross3(sub3(b, a), sub3(c, a)) == (0, 0, 0) or p == q:
+            return
+        allowed = [x for x in (p, q) if ends_allowed and x in (a, c)]
+        assert segment_meets_triangle_beyond(
+            p, q, orient3(a, b, c, p), orient3(a, b, c, q), tri,
+            allowed) == ref_meets_triangle(p, q, tri, allowed)
+
     @given(small_links, directions)
     @settings(max_examples=120)
     def test_projection_matches_reference(self, link, direction):
@@ -405,6 +451,156 @@ class TestRefinement:
                    for c in rounded)
         assert all(abs(r - c) <= F(1, 2 ** (DENOMINATOR_BITS + 1))
                    for r, c in zip(rounded, long))
+
+
+@pytest.fixture(scope="module")
+def refinement_inputs():
+    """(link, direction): the seven fixtures along the direction the CLI
+    picks, but twist12 along (0, 0, 1); the links of random_diagram seeds
+    0-14 before refinement; and the mirrors of all of them along
+    (dx, dy, -dz)."""
+    inputs = []
+    for name in ("square", "two_squares", "trefoil9", "whitehead12", "kink5",
+                 "riii", "twist12"):
+        link = load_fixture(name)
+        inputs.append((link, DIR_Z if name == "twist12"
+                       else find_regular_direction(link)))
+    for seed in range(15):
+        _diagram, _refined, direction, link = random_refinement(
+            random.Random(seed))
+        inputs.append((link, direction))
+    return inputs + [
+        (PolygonalLink(tuple(tuple((x, y, -z) for x, y, z in comp)
+                             for comp in link.components)),
+         (d[0], d[1], -d[2])) for link, d in inputs]
+
+
+HALVES = (F(-1, 2), F(0), F(1, 2))
+
+
+def candidate_cases(inputs):
+    """(projection, target, candidate) at the first insertion of
+    each refinement input: the first six candidates that refinement tries,
+    and the base point and the edge's first vertex moved on a grid of
+    halves, which puts vertex images on edges and on each other, obstructs
+    triangles and lines the apex up with the edge."""
+    for link, direction in inputs:
+        proj = project_link(link, direction)
+        if not geometry._badness(proj):
+            continue
+        target = geometry._pick_refinement_target(proj)
+        (ga, gb), t = target
+        pa, pb = link.vertex(ga), link.vertex(gb)
+        base = add3(pa, scale3(sub3(pb, pa), t))
+        cands = list(itertools.islice(refinement_candidates(proj, target), 6))
+        cands += [add3(p, step) for p in (base, pa)
+                  for step in itertools.product(HALVES, repeat=3)]
+        for cand in cands:
+            yield proj, target, cand
+
+
+@pytest.fixture(scope="module")
+def candidates(refinement_inputs):
+    """Each candidate case with the reference's verdict: does the vertex
+    keep the link valid and the direction regular?"""
+    return [(proj, target, cand,
+             reference_insertion(proj, target, cand) is not None)
+            for proj, target, cand in candidate_cases(refinement_inputs)]
+
+
+@pytest.fixture(scope="module")
+def reference_steps(refinement_inputs):
+    """(projection, target, badness, the reference's next projection) at
+    every insertion of the refinement inputs."""
+    steps = []
+    for link, direction in refinement_inputs:
+        proj = project_link(link, direction)
+        while bad := geometry._badness(proj):
+            target = geometry._pick_refinement_target(proj)
+            steps.append((proj, target, bad,
+                          reference_step(proj, target, bad)))
+            proj = steps[-1][-1]
+    return steps
+
+
+def fields(proj):
+    """A projection as plain values, to compare across module copies."""
+    return (proj.link.components, proj.points2d, tuple(
+        (cr.over_edge, cr.under_edge, cr.point, cr.t_over, cr.t_under)
+        for cr in proj.crossings))
+
+
+def mismatches(module, candidates, steps) -> int:
+    """Where ``module``'s O(E) check disagrees with the reference: in its
+    verdict on a candidate, or in the projection after an insertion."""
+    count = sum((module._new_crossings(proj, *target[0])(cand) is not None)
+                != regular for proj, target, cand, regular in candidates)
+    for proj, target, bad, expected in steps:
+        try:
+            got = fields(module._insert_refinement_vertex(proj, target, bad))
+        except (module.GeometryError, LookupError):
+            got = None
+        count += got != fields(expected)
+    return count
+
+
+class TestRefinementCheck:
+    """The O(E) candidate check of refinement against ``deform_add_vertex``
+    and ``_project`` on the whole new link."""
+
+    def test_refinement_matches_reference(self, refinement_inputs):
+        for link, direction in refinement_inputs:
+            refined = refine_to_good(link, direction)
+            expected = refine_reference(link, direction)
+            assert refined == expected.link
+            assert project_link(refined, direction) == expected
+
+    def test_candidates_match_reference(self, candidates, reference_steps):
+        assert len(candidates) > 1000 and len(reference_steps) > 60
+        assert {regular for *_, regular in candidates} == {False, True}
+        assert mismatches(geometry, candidates, reference_steps) == 0
+
+    @pytest.mark.parametrize("old, new", [
+        # the new vertex's image on an edge goes unseen
+        ("if t == 0 or t == den or s == 0 or s == den:",
+         "if s == 0 or s == den:"),
+        # the triangle is never checked
+        ("or _obstruction(pts, others,", "or None and _obstruction(pts, others,"),
+        # the old crossings keep their old edge numbers
+        ("kept = [RawCrossing(*[tuple([g + (g > gl) for g in e])",
+         "kept = [RawCrossing(*[tuple([g for g in e])"),
+    ], ids=["image_on_edge", "triangle", "renumbering"])
+    def test_mutant_caught(self, monkeypatch, candidates, reference_steps,
+                           old, new):
+        source = inspect.getsource(geometry)
+        assert source.count(old) == 1
+        mutant = types.ModuleType("polykh.geometry_mutant")
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(old, new), mutant.__name__, "exec"),
+             mutant.__dict__)
+        assert mismatches(mutant, candidates, reference_steps) > 0
+
+    def test_work_per_candidate(self, monkeypatch):
+        # twist12 along its default direction (-1,-3,2) makes 90 insertions
+        # of about two candidates each; the whole link is projected once,
+        # before the first, and never validated
+        link = load_fixture("twist12")
+        direction = find_regular_direction(link)
+        assert direction == (-1, -3, 2)
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("_project", "validate_link", "deform_add_vertex"):
+            monkeypatch.setattr(geometry, name,
+                                counting(name, getattr(geometry, name)))
+        refined = refine_to_good(link, direction)
+        assert refined.n - link.n == 90
+        assert calls == {"_project": 1}
 
 
 class TestDeformation:
