@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .geometry import (GeometryError, PolygonalLink,
                        validate_link, find_regular_direction, refine_to_good,
-                       deform_add_vertex, deform_remove_vertex)
+                       regularity_witness, deform_add_vertex,
+                       deform_remove_vertex)
 from .linkfile import (LinkFileError, parse_link, parse_integer,
                        parse_rational, load_link, dump_link)
 from .diagram import (DiagramError, GoodDiagram, build_good_diagram,
@@ -44,7 +45,43 @@ def _parse_direction(text: str):
         raise LinkFileError(f"bad direction {text!r}: {exc}") from None
     if len(parts) != 3:
         raise LinkFileError(f"bad direction {text!r}: expected three components")
+    if not any(parts):
+        raise LinkFileError(f"bad direction {text!r}: expected a nonzero "
+                            "vector")
     return tuple(parts)
+
+
+# the regularity witnesses of a nonzero direction, in words
+_WITNESS_WORDS = {
+    "vertex_collision": "the images of vertices {} and {} coincide",
+    "vertex_on_edge": "the image of vertex {} lies on the image of edge {}",
+    "segment_overlap": "the images of edges {} and {} overlap",
+    "adjacent_crossing": "the images of edges {} and {} cross beyond their "
+                         "common vertex",
+    "triple_point": "edges {} and {} cross where edges {} and {} do",
+}
+
+
+def _witness_words(witness) -> str:
+    """A regularity witness in words: its vertices and edges, (a,b) for the
+    edge a->b, filled into its tag's sentence."""
+    tag, data = witness
+    if tag == "triple_point":
+        data = data[0] + data[1]        # two pairs of edges
+    return _WITNESS_WORDS[tag].format(
+        *[x if isinstance(x, int) else f"({x[0]},{x[1]})" for x in data])
+
+
+def _require_regular(link: PolygonalLink, direction) -> None:
+    """Raise a GeometryError that names the witness in words if
+    ``direction`` is given and not regular for ``link``."""
+    if direction is None:
+        return
+    witness = regularity_witness(link, direction)
+    if witness is not None:
+        raise GeometryError(
+            f"direction {','.join(map(str, direction))} is not regular: "
+            f"{_witness_words(witness)}")
 
 
 def _count(text: str) -> int:
@@ -76,7 +113,11 @@ def _parse_order(text: str, k: int):
 def _pipeline(args) -> tuple[GoodDiagram, PolygonalLink, tuple]:
     link = load_link(args.file)
     direction = _parse_direction(args.dir) if args.dir else None
-    return good_diagram_auto(link, direction=direction, seed=args.seed)
+    try:
+        return good_diagram_auto(link, direction=direction, seed=args.seed)
+    except GeometryError:
+        _require_regular(link, direction)
+        raise
 
 
 def _emit(text: str, out_path) -> None:
@@ -210,7 +251,14 @@ def cmd_deform(args) -> int:
     direction = _parse_direction(args.dir) if args.dir else \
         find_regular_direction(link, seed=args.seed)
     if args.remove is not None:
-        move, link2, _d2 = apply_move(link, direction, args.remove)
+        if not 1 <= args.remove <= link.n:
+            raise LinkFileError(f"--remove: no vertex {args.remove} in a "
+                                f"{link.n}-vertex link")
+        try:
+            move, link2, _d2 = apply_move(link, direction, args.remove)
+        except GeometryError:
+            _require_regular(link, direction)
+            raise
         print(move.log_line())
     elif args.add is not None:
         fields = args.add.split(",")
@@ -315,10 +363,7 @@ def cmd_verify(args) -> int:
     def record(name: str, ok: bool, detail: str = "") -> None:
         results.append((name, ok, detail))
 
-    link = load_link(args.file)
-    direction = _parse_direction(args.dir) if args.dir else None
-    diagram, refined, direction = good_diagram_auto(
-        link, direction=direction, seed=args.seed)
+    diagram, refined, direction = _pipeline(args)
     rng = random.Random(args.seed)
 
     # theorem vs trace along the default order, plus sampled orders
@@ -458,13 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Jones polynomial and Khovanov homology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p, output=True, formats=False):
         p.add_argument("file", help="link file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dir", default=None,
                        help="projection direction dx,dy,dz")
-        p.add_argument("--format", choices=("tsv", "json"),
-                       default="tsv")
+        if formats:
+            p.add_argument("--format", choices=("tsv", "json"),
+                           default="tsv")
         if output:
             p.add_argument("-o", "--output", default=None)
 
@@ -473,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("diagram", help="crossing table of a good diagram")
-    common(p)
+    common(p, formats=True)
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("cube", help="dump the cube of smoothings")
@@ -492,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_MAX_GENERATORS})")
 
     p = sub.add_parser("homology", help="Khovanov homology table")
-    common(p)
+    common(p, formats=True)
     budget(p)
     p.set_defaults(func=cmd_homology)
 

@@ -238,65 +238,36 @@ def _formula_images(crossing: CrossingRecord, s: list[int],
     """Resolve the crossing on the image list s by the closed permutation
     formulas; returns a new list.
 
-    Dispatch is on the current direction of the two crossing arcs (sigma maps
-    i->j or j->i, and v->w or w->v) and on whether i and v share a cycle.
-    One of the two choices is a single transposition composition; the other
-    additionally conjugates by a dihedral reflection.  The formulas are
-    evaluated on image lists; the comment above each line gives it in the
-    permutation algebra, with T(a, b) the transposition of a and b
-    and reflection_in(p, a, b) the reflection that _reflection computes.
+    The four directions of the crossing's arcs in sigma are one rule, with
+    T(a, b) the transposition of a and b and reflection_in(p, a, b) the
+    reflection that _reflection computes:
+
+        sigma       x  y  tau                      tau alone when
+        i->j, v->w  w  v  compose(T(j, w), sigma)  (choice = 0) == (eps = +1)
+        i->j, w->v  v  w  compose(T(j, v), sigma)  (choice = 1) == (eps = +1)
+        j->i, v->w  v  w  compose(sigma, T(j, v))  (choice = 1) == (eps = +1)
+        j->i, w->v  w  v  compose(sigma, T(j, w))  (choice = 0) == (eps = +1)
+
+    Otherwise the result is conjugate(sigma, reflection_in(tau, j, y)) if i
+    and v share a cycle, else conjugate(tau, reflection_in(sigma, v, w)).
+    When sigma maps j->i, these identities fix the reversed orientation of
+    the parent, so the circles through i and v are reversed back.
     """
     i, j, v, w = crossing.quadruple
-    eps = crossing.sign
-
-    if s[i] == j and s[v] == w:
-        if (choice == 0) == (eps == 1):
-            # compose(T(j, w), sigma)
-            res = _left_swap(s, j, w)
-        elif _same_cycle(s, i, v):
-            # conjugate(sigma, reflection_in(compose(T(j, w), sigma), j, v))
-            res = _conjugate(s, _reflection(_left_swap(s, j, w), j, v))
-        else:
-            # conjugate(compose(T(j, w), sigma), reflection_in(sigma, v, w))
-            res = _conjugate(_left_swap(s, j, w), _reflection(s, v, w))
-    elif s[i] == j and s[w] == v:
-        if (choice == 1) == (eps == 1):
-            # compose(T(j, v), sigma)
-            res = _left_swap(s, j, v)
-        elif _same_cycle(s, i, v):
-            # conjugate(sigma, reflection_in(compose(T(j, v), sigma), j, w))
-            res = _conjugate(s, _reflection(_left_swap(s, j, v), j, w))
-        else:
-            # conjugate(compose(T(j, v), sigma), reflection_in(sigma, v, w))
-            res = _conjugate(_left_swap(s, j, v), _reflection(s, v, w))
-    elif s[j] == i and s[v] == w:
-        if (choice == 1) == (eps == 1):
-            # compose(sigma, T(j, v))
-            res = _right_swap(s, j, v)
-        elif _same_cycle(s, i, v):
-            # conjugate(sigma, reflection_in(compose(sigma, T(j, v)), j, w))
-            res = _conjugate(s, _reflection(_right_swap(s, j, v), j, w))
-        else:
-            # conjugate(compose(sigma, T(j, v)), reflection_in(sigma, v, w))
-            res = _conjugate(_right_swap(s, j, v), _reflection(s, v, w))
-        # the published identities fix the reversed orientation of the parent;
-        # re-reverse the circles through i and v so that i starts a new edge
-        res = _reversed_cycles(res, (i, v))
-    elif s[j] == i and s[w] == v:
-        if (choice == 0) == (eps == 1):
-            # compose(sigma, T(j, w))
-            res = _right_swap(s, j, w)
-        elif _same_cycle(s, i, v):
-            # conjugate(sigma, reflection_in(compose(sigma, T(j, w)), j, v))
-            res = _conjugate(s, _reflection(_right_swap(s, j, w), j, v))
-        else:
-            # conjugate(compose(sigma, T(j, w)), reflection_in(sigma, v, w))
-            res = _conjugate(_right_swap(s, j, w), _reflection(s, v, w))
-        res = _reversed_cycles(res, (i, v))
-    else:
+    fwd = s[i] == j
+    if not (fwd or s[j] == i) or not (s[v] == w or s[w] == v):
         raise CubeError(f"crossing {crossing.index}: neither arc of "
                         f"({i},{j},{v},{w}) present in sigma")
-    return res
+    aligned = fwd == (s[v] == w)
+    x, y = (w, v) if aligned else (v, w)
+    tau = _left_swap(s, j, x) if fwd else _right_swap(s, j, x)
+    if ((choice == 0) == (crossing.sign == 1)) == aligned:
+        res = tau
+    elif _same_cycle(s, i, v):
+        res = _conjugate(s, _reflection(tau, j, y))
+    else:
+        res = _conjugate(tau, _reflection(s, v, w))
+    return res if fwd else _reversed_cycles(res, (i, v))
 
 
 def _step(diagram: GoodDiagram, word: tuple[int, ...], s: list[int], l: int,

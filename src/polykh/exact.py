@@ -179,13 +179,6 @@ def _seg2_hit(p, p2, q, q2):
     return ("overlap", lo, hi, rr)
 
 
-def point_on_seg2(x: Vec2, a: Vec2, b: Vec2) -> bool:
-    if orient2(a, b, x) != 0:
-        return False
-    return (min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
-
-
 # ---------------------------------------------------------------------------
 # a segment against a triangle
 
@@ -211,13 +204,6 @@ def _clip_seg_to_triangle2(p: Vec2, q: Vec2, tri: tuple[Vec2, Vec2, Vec2]):
         if lo > hi:
             return None
     return (lo, hi)
-
-
-def _point_in_triangle2(x: Vec2, tri) -> bool:
-    a, b, c = tri
-    o = orient2(a, b, c)
-    sgn = 1 if o > 0 else -1
-    return all(orient2(e1, e2, x) * sgn >= 0 for (e1, e2) in ((a, b), (b, c), (c, a)))
 
 
 def segment_meets_triangle_beyond(p: Vec3, q: Vec3, d1, d2,

@@ -20,9 +20,9 @@ from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       build_good_diagram, crossing_sign)
 from .cube import (Cube, _crossing_arcs, _full_smoothing, _made_cube,
                    _right_swap, _reversed_cycles)
-from .exact import (seg2_intersection, point_on_seg2, _point_in_triangle2,
-                    orient2)
-from .geometry import PolygonalLink, DeformationError, deform_remove_vertex
+from .exact import _integral, orient2, seg2_intersection
+from .geometry import (PolygonalLink, DeformationError, deform_remove_vertex,
+                       _meetings)
 
 
 class MoveError(ValueError):
@@ -82,56 +82,42 @@ def _partner_edge(cr: CrossingRecord, a: int, b: int) -> tuple[int, int]:
     return (cr.i, cr.j)
 
 
-def _new_edge_crossings(diagram: GoodDiagram, l: int, p: int,
-                        m: int) -> list[tuple[int, int]]:
-    """Edges crossing the replacement edge l-m transversely in their interiors.
+# what each witness of ``_meetings`` says about the replacement edge
+_WITNESS_TEXT = {
+    "segment_overlap": "overlaps edge {}",
+    "adjacent_crossing": "meets adjacent edge {} beyond the shared vertex",
+    "vertex_on_edge": "touches an endpoint of edge {}",
+}
 
-    Raises when the deformed picture would not be a regular diagram (endpoint
-    touches, overlaps, crossings next to shared vertices).
+
+def _new_edge_crossings(diagram: GoodDiagram, img: list, l: int, p: int,
+                        m: int) -> list[tuple[int, int]]:
+    """Edges crossing the replacement edge l-m transversely in their
+    interiors, given ``img``, the vertex images scaled to ints.
+
+    The edges other than the two removed sides are scanned in order by
+    ``_meetings``, as the projection scans its edge pairs.  Raises at the
+    first witness that the deformed picture would not be a regular diagram
+    (an overlap, a crossing next to a shared vertex, an endpoint touch).
     """
-    ql, qm = diagram.vertex(l), diagram.vertex(m)
+    edges = [(g, diagram.successor(g)) for g in range(1, diagram.n + 1)
+             if g != l and g != p]
     partners = []
-    for g in range(1, diagram.n + 1):
-        h = diagram.successor(g)
-        if g in (l, p) and h in (p, m):
-            continue  # the two removed sides
-        hit = seg2_intersection(ql, qm, diagram.vertex(g), diagram.vertex(h))
-        if hit is None:
-            continue
-        kind, data = hit
-        if kind == "overlap":
+    for (g, h), *hit in _meetings((l, m), img[l - 1], img[m - 1], edges,
+                                  img):
+        if len(hit) == 1:
             raise MoveError(
-                f"deformed edge {l}-{m} overlaps edge ({g},{h}); "
-                "the deformed diagram is not good - refine the link first")
-        t, u, _pt = data
-        if g in (l, m) or h in (l, m):
-            shared = ql if g == l or h == l else qm
-            expected_t = 0 if shared == ql else 1
-            if t == expected_t and (u == 0 or u == 1):
-                continue  # touching only at the shared vertex
-            raise MoveError(
-                f"deformed edge {l}-{m} meets adjacent edge ({g},{h}) beyond "
-                "the shared vertex; the deformed diagram is not good - "
-                "refine the link first")
-        if 0 < t < 1 and 0 < u < 1:
-            partners.append((g, h))
-            continue
-        raise MoveError(
-            f"deformed edge {l}-{m} touches an endpoint of edge ({g},{h}); "
-            "the deformed diagram is not good - refine the link first")
+                f"deformed edge {l}-{m} "
+                + _WITNESS_TEXT[hit[0]].format(f"({g},{h})")
+                + "; the deformed diagram is not good - refine the link "
+                "first")
+        partners.append((g, h))
     return partners
 
 
 def _other_end(edge: tuple[int, int], x: int) -> int:
     a, b = edge
     return b if a == x else a
-
-
-def _strictly_inside(x, tri) -> bool:
-    a, b, c = tri
-    sgn = 1 if orient2(a, b, c) > 0 else -1
-    return all(orient2(e1, e2, x) * sgn > 0 for (e1, e2) in
-               ((a, b), (b, c), (c, a)))
 
 
 def classify_triangle_move(diagram: GoodDiagram, p: int,
@@ -171,38 +157,53 @@ def _classify_removal(diagram: GoodDiagram, p: int,
 
 def _triangle_case(diagram: GoodDiagram, l: int, p: int,
                    m: int) -> TriangleMove:
-    """The case of the planar triangle (l, p, m), from the diagram alone."""
-    ql, qp, qm = diagram.vertex(l), diagram.vertex(p), diagram.vertex(m)
-    tri = (ql, qp, qm)
+    """The case of the planar triangle (l, p, m), from the diagram alone.
+
+    The vertex images and crossing points are scaled to ints once, by the
+    lcm of their denominators, which changes no orientation sign; every
+    planar test runs on them.
+    """
+    n = diagram.n
+    pts, _ = _integral([*diagram.vertices,
+                        *[cr.point for cr in diagram.crossings]])
+    img = pts[:n]
+    ql, qp, qm = img[l - 1], img[p - 1], img[m - 1]
+    sides = ((ql, qp), (qp, qm), (qm, ql))
+    turn = 1 if orient2(ql, qp, qm) > 0 else -1
+
+    def depth(q) -> int:
+        """> 0 strictly inside the triangle, 0 on its boundary, < 0
+        outside: the least turn of q about the sides, signed by theirs."""
+        return min([orient2(a, b, q) * turn for a, b in sides])
+
     inside: list[int] = []
-    for g in range(1, diagram.n + 1):
+    for g in range(1, n + 1):
         if g in (l, p, m):
             continue
-        q = diagram.vertex(g)
-        if not _point_in_triangle2(q, tri):
-            continue
-        for (e1, e2) in ((ql, qp), (qp, qm), (qm, ql)):
-            if point_on_seg2(q, e1, e2):
-                raise MoveError(
-                    f"vertex {g} lies on the boundary of triangle "
-                    f"({l},{p},{m})")
-        inside.append(g)
+        d = depth(img[g - 1])
+        if d == 0:
+            raise MoveError(
+                f"vertex {g} lies on the boundary of triangle ({l},{p},{m})")
+        if d > 0:
+            inside.append(g)
 
     cr_lp = _crossing_on(diagram, l, p)
     cr_pm = _crossing_on(diagram, p, m)
+    # the crossed sides, each with the other edge of its crossing
+    crossed = [(side, _partner_edge(cr, *side))
+               for cr, side in ((cr_lp, (l, p)), (cr_pm, (p, m)))
+               if cr is not None]
+    partners = [e for _side, e in crossed]
 
     # Reidemeister III pattern: both sides crossed, and the two crossed
     # strands cross each other inside the triangle.  Their middle vertices
     # necessarily project into the triangle, so this is recognised before the
     # inner-vertex dispatch; the deformed diagram of the single removal is
     # not good, and the caller must treat the move atomically.
-    if cr_lp is not None and cr_pm is not None and len(inside) == 2:
-        e1 = _partner_edge(cr_lp, l, p)
-        e2 = _partner_edge(cr_pm, p, m)
-        for cr in diagram.crossings:
-            if cr in (cr_lp, cr_pm):
-                continue
-            if not _strictly_inside(cr.point, tri):
+    if len(crossed) == 2 and len(inside) == 2:
+        e1, e2 = partners
+        for cr, q in zip(diagram.crossings, pts[n:]):
+            if cr in (cr_lp, cr_pm) or depth(q) <= 0:
                 continue
             f1, f2 = (cr.i, cr.j), (cr.v, cr.w)
             for g1, g2 in ((f1, f2), (f2, f1)):
@@ -212,76 +213,58 @@ def _triangle_case(diagram: GoodDiagram, l: int, p: int,
                     return TriangleMove("RIII", l, p, m,
                                         a=min(s1), b=min(s2))
 
-    new_partners = _new_edge_crossings(diagram, l, p, m)
-    side_partners = []
-    if cr_lp is not None:
-        side_partners.append(_partner_edge(cr_lp, l, p))
-    if cr_pm is not None:
-        side_partners.append(_partner_edge(cr_pm, p, m))
+    new_partners = _new_edge_crossings(diagram, img, l, p, m)
 
     # goodness of the deformed diagram: no edge may end up with two crossings
     if len(new_partners) > 1 and not (
-            cr_lp and cr_pm and set(new_partners) == set(side_partners)):
+            len(crossed) == 2 and set(new_partners) == set(partners)):
         raise MoveError(
             f"deformed edge {l}-{m} would carry {len(new_partners)} "
             "crossings; the deformed diagram is not good - refine the link "
             "first")
     for e in new_partners:
-        kept = sum(1 for cr in diagram.crossings
-                   if e in ((cr.i, cr.j), (cr.v, cr.w))
-                   and cr not in (cr_lp, cr_pm))
-        if kept:
+        if any(e in ((cr.i, cr.j), (cr.v, cr.w)) for cr in diagram.crossings
+               if cr not in (cr_lp, cr_pm)):
             raise MoveError(
                 f"edge {e} would carry two crossings after the move; the "
                 "deformed diagram is not good - refine the link first")
 
     if not inside:
-        if cr_lp is None and cr_pm is None and not new_partners:
+        if not crossed and not new_partners:
             return TriangleMove("C1", l, p, m)
-        if cr_lp and not cr_pm and not new_partners:
-            e = _partner_edge(cr_lp, l, p)
-            if m not in e:
-                raise MoveError(
-                    f"crossing on side ({l},{p}) with non-adjacent edge {e} "
-                    "does not match any supported case")
-            return TriangleMove("C2", l, p, m, a=_other_end(e, m))
-        if cr_pm and not cr_lp and not new_partners:
-            e = _partner_edge(cr_pm, p, m)
-            if l not in e:
-                raise MoveError(
-                    f"crossing on side ({p},{m}) with non-adjacent edge {e} "
-                    "does not match any supported case")
-            return TriangleMove("C3", l, p, m, a=_other_end(e, l))
-        if cr_lp and not cr_pm and len(new_partners) == 1:
-            e = _partner_edge(cr_lp, l, p)
-            if new_partners[0] == e:
-                return TriangleMove("C4", l, p, m, a=e[0], b=e[1])
-        if cr_pm and not cr_lp and len(new_partners) == 1:
-            e = _partner_edge(cr_pm, p, m)
-            if new_partners[0] == e:
-                return TriangleMove("C5", l, p, m, a=e[0], b=e[1])
+        if len(crossed) == 1:
+            # the crossed side is l-p (C2, C4), whose far end is m, or p-m
+            # (C3, C5), whose far end is l
+            (side, e), = crossed
+            first = side == (l, p)
+            far = m if first else l
+            if not new_partners:
+                if far not in e:
+                    raise MoveError(
+                        f"crossing on side ({side[0]},{side[1]}) with "
+                        f"non-adjacent edge {e} does not match any "
+                        "supported case")
+                return TriangleMove("C2" if first else "C3", l, p, m,
+                                    a=_other_end(e, far))
+            if new_partners == [e]:
+                return TriangleMove("C4" if first else "C5", l, p, m,
+                                    a=e[0], b=e[1])
         raise MoveError(
             f"crossing pattern at triangle ({l},{p},{m}) does not match any "
             "supported case")
 
     if len(inside) == 1:
         a = inside[0]
-        n_side = int(cr_lp is not None) + int(cr_pm is not None)
-        if n_side == 1 and not new_partners:
-            e = _partner_edge(cr_lp or cr_pm, *((l, p) if cr_lp else (p, m)))
-            if a in e:
-                return TriangleMove("CA", l, p, m, a=a, b=_other_end(e, a))
-        if n_side == 1 and len(new_partners) == 1:
-            e = _partner_edge(cr_lp or cr_pm, *((l, p) if cr_lp else (p, m)))
-            e2 = new_partners[0]
-            if a in e and a in e2:
-                return TriangleMove("CB", l, p, m, a=a,
-                                    b=_other_end(e, a), c=_other_end(e2, a))
-        if n_side == 2 and not new_partners:
-            e1 = _partner_edge(cr_lp, l, p)
-            e2 = _partner_edge(cr_pm, p, m)
-            shared = set(e1) & set(e2)
-            if shared == {a}:
+        if len(crossed) == 1 and a in partners[0]:
+            b = _other_end(partners[0], a)
+            if not new_partners:
+                return TriangleMove("CA", l, p, m, a=a, b=b)
+            if len(new_partners) == 1 and a in new_partners[0]:
+                return TriangleMove("CB", l, p, m, a=a, b=b,
+                                    c=_other_end(new_partners[0], a))
+        if len(crossed) == 2 and not new_partners:
+            e1, e2 = partners
+            if set(e1) & set(e2) == {a}:
                 return TriangleMove("CC", l, p, m, a=a,
                                     b=_other_end(e1, a), c=_other_end(e2, a))
         raise MoveError(

@@ -13,10 +13,12 @@ from polykh import (PolygonalLink, LinkFileError, validate_link, load_fixture,
                     build_good_diagram, build_cube)
 from polykh import randlinks
 from polykh import geometry
-from polykh.exact import add3, cross3, scale3, sub3
+from polykh.exact import add3, cross3, orient2, scale3, seg2_intersection, sub3
 from polykh.geometry import (GeometryError, DeformationError,
                              find_regular_direction, project_link,
                              refine_to_good)
+from polykh.moves import (MoveError, TriangleMove, _crossing_on,
+                          _other_end, _partner_edge)
 from polykh.perm import DihedralFactor, PermError, Permutation
 
 settings.register_profile("deterministic", derandomize=True)
@@ -340,6 +342,194 @@ def refine_reference(link, direction):
         proj = reference_step(proj, geometry._pick_refinement_target(proj),
                               bad)
     return proj
+
+
+# ---------------------------------------------------------------------------
+# the triangle-move classifier on Fractions: the reference that the int
+# classifier of ``polykh.moves`` is checked against
+
+
+def point_on_seg2(x, a, b) -> bool:
+    """Whether the planar point x lies on the closed segment ab."""
+    if orient2(a, b, x) != 0:
+        return False
+    return (min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
+
+
+def point_in_triangle2(x, tri) -> bool:
+    """Whether the planar point x lies in the closed triangle ``tri``."""
+    a, b, c = tri
+    sgn = 1 if orient2(a, b, c) > 0 else -1
+    return all(orient2(e1, e2, x) * sgn >= 0
+               for (e1, e2) in ((a, b), (b, c), (c, a)))
+
+
+def strictly_inside(x, tri) -> bool:
+    a, b, c = tri
+    sgn = 1 if orient2(a, b, c) > 0 else -1
+    return all(orient2(e1, e2, x) * sgn > 0 for (e1, e2) in
+               ((a, b), (b, c), (c, a)))
+
+
+def new_edge_crossings_reference(diagram, l, p, m):
+    """The edges crossing the replacement edge l-m transversely in their
+    interiors, each edge met by ``seg2_intersection`` on Fractions."""
+    ql, qm = diagram.vertex(l), diagram.vertex(m)
+    partners = []
+    for g in range(1, diagram.n + 1):
+        h = diagram.successor(g)
+        if g in (l, p) and h in (p, m):
+            continue  # the two removed sides
+        hit = seg2_intersection(ql, qm, diagram.vertex(g), diagram.vertex(h))
+        if hit is None:
+            continue
+        kind, data = hit
+        if kind == "overlap":
+            raise MoveError(
+                f"deformed edge {l}-{m} overlaps edge ({g},{h}); "
+                "the deformed diagram is not good - refine the link first")
+        t, u, _pt = data
+        if g in (l, m) or h in (l, m):
+            shared = ql if g == l or h == l else qm
+            expected_t = 0 if shared == ql else 1
+            if t == expected_t and (u == 0 or u == 1):
+                continue  # touching only at the shared vertex
+            raise MoveError(
+                f"deformed edge {l}-{m} meets adjacent edge ({g},{h}) beyond "
+                "the shared vertex; the deformed diagram is not good - "
+                "refine the link first")
+        if 0 < t < 1 and 0 < u < 1:
+            partners.append((g, h))
+            continue
+        raise MoveError(
+            f"deformed edge {l}-{m} touches an endpoint of edge ({g},{h}); "
+            "the deformed diagram is not good - refine the link first")
+    return partners
+
+
+def classify_reference(diagram, p):
+    """``classify_triangle_move(diagram, p)`` without a link: each planar
+    test on Fractions, and C2/C3 and C4/C5 written out once per side."""
+    if not 1 <= p <= diagram.n:
+        raise MoveError(f"no vertex {p}")
+    l = diagram.predecessor(p)
+    m = diagram.successor(p)
+    if l in (p, m) or diagram.successor(m) == l:
+        raise MoveError("cannot shrink a component below 3 vertices")
+    ql, qp, qm = diagram.vertex(l), diagram.vertex(p), diagram.vertex(m)
+    if orient2(ql, qp, qm) == 0:
+        raise MoveError(f"triangle ({l},{p},{m}) is degenerate")
+    tri = (ql, qp, qm)
+    inside = []
+    for g in range(1, diagram.n + 1):
+        if g in (l, p, m):
+            continue
+        q = diagram.vertex(g)
+        if not point_in_triangle2(q, tri):
+            continue
+        for (e1, e2) in ((ql, qp), (qp, qm), (qm, ql)):
+            if point_on_seg2(q, e1, e2):
+                raise MoveError(
+                    f"vertex {g} lies on the boundary of triangle "
+                    f"({l},{p},{m})")
+        inside.append(g)
+
+    cr_lp = _crossing_on(diagram, l, p)
+    cr_pm = _crossing_on(diagram, p, m)
+    if cr_lp is not None and cr_pm is not None and len(inside) == 2:
+        e1 = _partner_edge(cr_lp, l, p)
+        e2 = _partner_edge(cr_pm, p, m)
+        for cr in diagram.crossings:
+            if cr in (cr_lp, cr_pm):
+                continue
+            if not strictly_inside(cr.point, tri):
+                continue
+            f1, f2 = (cr.i, cr.j), (cr.v, cr.w)
+            for g1, g2 in ((f1, f2), (f2, f1)):
+                s1 = set(g1) & set(e1)
+                s2 = set(g2) & set(e2)
+                if len(s1) == 1 and len(s2) == 1 and s1 | s2 == set(inside):
+                    return TriangleMove("RIII", l, p, m,
+                                        a=min(s1), b=min(s2))
+
+    new_partners = new_edge_crossings_reference(diagram, l, p, m)
+    side_partners = []
+    if cr_lp is not None:
+        side_partners.append(_partner_edge(cr_lp, l, p))
+    if cr_pm is not None:
+        side_partners.append(_partner_edge(cr_pm, p, m))
+    if len(new_partners) > 1 and not (
+            cr_lp and cr_pm and set(new_partners) == set(side_partners)):
+        raise MoveError(
+            f"deformed edge {l}-{m} would carry {len(new_partners)} "
+            "crossings; the deformed diagram is not good - refine the link "
+            "first")
+    for e in new_partners:
+        kept = sum(1 for cr in diagram.crossings
+                   if e in ((cr.i, cr.j), (cr.v, cr.w))
+                   and cr not in (cr_lp, cr_pm))
+        if kept:
+            raise MoveError(
+                f"edge {e} would carry two crossings after the move; the "
+                "deformed diagram is not good - refine the link first")
+
+    if not inside:
+        if cr_lp is None and cr_pm is None and not new_partners:
+            return TriangleMove("C1", l, p, m)
+        if cr_lp and not cr_pm and not new_partners:
+            e = _partner_edge(cr_lp, l, p)
+            if m not in e:
+                raise MoveError(
+                    f"crossing on side ({l},{p}) with non-adjacent edge {e} "
+                    "does not match any supported case")
+            return TriangleMove("C2", l, p, m, a=_other_end(e, m))
+        if cr_pm and not cr_lp and not new_partners:
+            e = _partner_edge(cr_pm, p, m)
+            if l not in e:
+                raise MoveError(
+                    f"crossing on side ({p},{m}) with non-adjacent edge {e} "
+                    "does not match any supported case")
+            return TriangleMove("C3", l, p, m, a=_other_end(e, l))
+        if cr_lp and not cr_pm and len(new_partners) == 1:
+            e = _partner_edge(cr_lp, l, p)
+            if new_partners[0] == e:
+                return TriangleMove("C4", l, p, m, a=e[0], b=e[1])
+        if cr_pm and not cr_lp and len(new_partners) == 1:
+            e = _partner_edge(cr_pm, p, m)
+            if new_partners[0] == e:
+                return TriangleMove("C5", l, p, m, a=e[0], b=e[1])
+        raise MoveError(
+            f"crossing pattern at triangle ({l},{p},{m}) does not match any "
+            "supported case")
+
+    if len(inside) == 1:
+        a = inside[0]
+        n_side = int(cr_lp is not None) + int(cr_pm is not None)
+        if n_side == 1 and not new_partners:
+            e = _partner_edge(cr_lp or cr_pm, *((l, p) if cr_lp else (p, m)))
+            if a in e:
+                return TriangleMove("CA", l, p, m, a=a, b=_other_end(e, a))
+        if n_side == 1 and len(new_partners) == 1:
+            e = _partner_edge(cr_lp or cr_pm, *((l, p) if cr_lp else (p, m)))
+            e2 = new_partners[0]
+            if a in e and a in e2:
+                return TriangleMove("CB", l, p, m, a=a,
+                                    b=_other_end(e, a), c=_other_end(e2, a))
+        if n_side == 2 and not new_partners:
+            e1 = _partner_edge(cr_lp, l, p)
+            e2 = _partner_edge(cr_pm, p, m)
+            shared = set(e1) & set(e2)
+            if shared == {a}:
+                return TriangleMove("CC", l, p, m, a=a,
+                                    b=_other_end(e1, a), c=_other_end(e2, a))
+        raise MoveError(
+            f"triangle ({l},{p},{m}) with inner vertex {a} does not match "
+            "any supported composite case")
+
+    raise MoveError(
+        f"triangle ({l},{p},{m}) contains {len(inside)} other vertices; "
+        "unsupported configuration")
 
 
 def torus_table(n: int, sign: int) -> dict[tuple[int, int], int]:

@@ -146,6 +146,45 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", TREFOIL, "--dir", "0,0")
         assert code == 2 and "direction" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("diagram", ()), ("cube", ()), ("verify", ()),
+        ("deform", ("--remove", "2"))])
+    def test_zero_direction_is_a_usage_error(self, capsys, command, extra):
+        # it exited 1 with "direction (Fraction(0, 1), ...) not regular:
+        # ('zero_direction', ())"
+        code, out, err = run(capsys, command, TREFOIL, "--dir", "0,0,0",
+                             *extra)
+        assert code == 2 and out == ""
+        assert err == ("error: bad direction '0,0,0': expected a nonzero "
+                       "vector\n")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("diagram", ()), ("cube", ()), ("verify", ()),
+        ("deform", ("--remove", "2"))])
+    def test_irregular_direction_names_the_witness(self, capsys, command,
+                                                   extra):
+        code, out, err = run(capsys, command, TREFOIL, "--dir", "2/2,0,0",
+                             *extra)
+        assert code == 1 and out == ""
+        assert err == ("error: direction 1,0,0 is not regular: the images "
+                       "of vertices 3 and 6 coincide\n")
+
+    @pytest.mark.parametrize("witness, words", [
+        (("vertex_collision", (3, 6)),
+         "the images of vertices 3 and 6 coincide"),
+        (("vertex_on_edge", (4, (1, 2))),
+         "the image of vertex 4 lies on the image of edge (1,2)"),
+        (("segment_overlap", ((1, 2), (5, 6))),
+         "the images of edges (1,2) and (5,6) overlap"),
+        (("adjacent_crossing", ((1, 2), (2, 3))),
+         "the images of edges (1,2) and (2,3) cross beyond their common "
+         "vertex"),
+        (("triple_point", (((1, 2), (5, 6)), ((1, 2), (8, 9)))),
+         "edges (1,2) and (5,6) cross where edges (1,2) and (8,9) do"),
+    ])
+    def test_witness_words(self, witness, words):
+        assert polykh.cli._witness_words(witness) == words
+
 
 @pytest.mark.parametrize("token", ["1e100000000", "1.5", "nan"])
 class TestNumberTokens:
@@ -240,6 +279,16 @@ class TestPolynomials:
         assert err.startswith("usage: polykh homology")
         assert "argument --max-generators: expected an integer >= 0, " \
             "got '-1'" in err
+
+    @pytest.mark.parametrize("command", ["cube", "jones", "verify", "svg",
+                                         "deform"])
+    def test_format_only_where_it_does_something(self, capsys, command):
+        # these commands accepted --format and ignored it
+        with pytest.raises(SystemExit) as exc:
+            main([command, TREFOIL, "--dir", "0,0,1", "--format", "json"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --format json"
+                in capsys.readouterr().err)
 
     def test_homology_json(self, capsys):
         code, out, _ = run(capsys, "homology", SQUARE, "--dir", "0,0,1",
@@ -371,6 +420,14 @@ class TestDeform:
                              f"--add={fields}")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("p", ["999", "10", "0", "-1"])
+    def test_remove_bad_index(self, capsys, p):
+        # "no vertex 999" exited 1, as if the move were refused
+        code, out, err = run(capsys, "deform", TREFOIL, "--dir", "0,0,1",
+                             f"--remove={p}")
+        assert code == 2 and out == ""
+        assert err == f"error: --remove: no vertex {p} in a 9-vertex link\n"
 
     def test_blocked_removal(self, capsys):
         code, _, err = run(capsys, "deform", TREFOIL, "--dir", "0,0,1",

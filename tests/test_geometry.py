@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polykh.exact import (orient2, orient3, seg2_intersection, dot3, cross3,
-                          sub3, add3, scale3, point_on_seg2, segment_meets_triangle_beyond,
-                          _clip_seg_to_triangle2, _point_in_triangle2,
-                          _integral, _seg3_hit)
+                          sub3, add3, scale3, segment_meets_triangle_beyond,
+                          _clip_seg_to_triangle2, _integral, _seg3_hit)
 from polykh.geometry import (GeometryError, DeformationError,
                              DirectionSearchError, PolygonalLink,
                              validate_link, chart_basis,
@@ -25,8 +24,8 @@ from polykh.geometry import (GeometryError, DeformationError,
                              deform_remove_vertex, DENOMINATOR_BITS, _capped)
 from polykh import geometry, load_fixture, build_good_diagram
 
-from conftest import (DIR_Z, random_link, random_refinement,
-                      reference_insertion, reference_step,
+from conftest import (DIR_Z, point_in_triangle2, point_on_seg2, random_link,
+                      random_refinement, reference_insertion, reference_step,
                       refinement_candidates, refine_reference)
 
 frac = st.fractions(min_value=-10, max_value=10, max_denominator=8)
@@ -109,7 +108,7 @@ def ref_meets_triangle(p, q, tri, allowed):
         return clip[0] != clip[1] or x not in allowed
     t = F(d1, d1 - d2)
     x = tuple(p[i] + t * (q[i] - p[i]) for i in range(3))
-    return _point_in_triangle2(flat(x), tri2) and x not in allowed
+    return point_in_triangle2(flat(x), tri2) and x not in allowed
 
 
 def seg3_params(a, b, c, d):

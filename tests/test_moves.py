@@ -1,15 +1,19 @@
 """Triangle moves: classification, algebraic updates, and full rebuilds."""
 
+from collections import Counter
 from fractions import Fraction as F
+import inspect
 import random
 import re
+import sys
+import types
 
 import pytest
 
-from polykh import moves
+from polykh import geometry, moves
 from polykh.geometry import (PolygonalLink, validate_link, deform_add_vertex,
                             deform_remove_vertex)
-from polykh.diagram import build_good_diagram
+from polykh.diagram import build_good_diagram, good_diagram_auto
 from polykh.cube import CubeError, build_cube
 from polykh.khovanov import khovanov_homology
 from polykh.moves import (MoveError, TriangleMove, classify_triangle_move,
@@ -18,9 +22,10 @@ from polykh.moves import (MoveError, TriangleMove, classify_triangle_move,
 from polykh.perm import Permutation
 from polykh import load_fixture
 
-from conftest import (DIR_Z, compose, cycle_containing, cycle_partition,
-                      from_cycles, miscounted, miscount_message,
-                      random_diagram, reference_edges, transposition)
+from conftest import (DIR_Z, classify_reference, compose, cycle_containing,
+                      cycle_partition, from_cycles, miscounted,
+                      miscount_message, random_diagram, reference_edges,
+                      transposition)
 
 
 def renumbered(perm, p):
@@ -99,6 +104,21 @@ def homology_of(link):
 
 
 PENT = [(0, 0, 0), (2, 2, 0), (4, 0, 0), (4, -3, 0), (0, -3, 0)]
+# second components beside PENT: the crossing on side 1-2 (C4) or 2-3 (C5)
+# slides onto the new edge 1-3, or a strand leaves the triangle (CC)
+C4_SECOND = [(F(-1, 2), F(4, 5), 1), (F(3, 2), F(-4, 5), 1),
+             (F(3, 2), -5, 1), (-2, -5, 1), (-2, F(4, 5), 1)]
+C5_SECOND = [(F(9, 2), F(4, 5), 1), (F(5, 2), F(-4, 5), 1),
+             (F(5, 2), -5, 1), (6, -5, 1), (6, F(4, 5), 1)]
+CC_SECOND = [(-1, F(6, 5), 1), (2, F(1, 2), 1), (5, F(6, 5), 1), (5, 4, 1),
+             (-1, 4, 1)]
+# an inner vertex is absorbed (CA), or its crossing migrates to the new
+# edge (CB)
+CA_LINK = [[(0, 0, 0), (2, 2, 0), (4, 0, 0), (F(5, 2), F(1, 2), 2),
+            (-1, 1, 2), (-1, -2, 0)]]
+CB_LINK = [[(0, 0, 0), (2, 2, 0), (4, 0, 0), (4, 8, 0), (-8, 4, 0)],
+           [(2, -2, 2), (2, F(1, 2), 2), (-1, 1, 2), (-4, 1, 2),
+            (-4, -4, 2), (3, -4, 2)]]
 
 
 def two_component(second):
@@ -156,32 +176,27 @@ class TestClassification:
         assert move.log_line() == "C2 1 2 3 [4]"
 
     def test_crossing_slides_off_first_side(self):
-        link = two_component([(F(-1, 2), F(4, 5), 1), (F(3, 2), F(-4, 5), 1),
-                              (F(3, 2), -5, 1), (-2, -5, 1), (-2, F(4, 5), 1)])
+        link = two_component(C4_SECOND)
         diagram = build_good_diagram(link, DIR_Z)
         assert diagram.k == 2
         move = classify_triangle_move(diagram, 2, link=link)
         assert move.log_line() == "C4 1 2 3 [6 7]"
 
     def test_crossing_slides_off_second_side(self):
-        link = two_component([(F(9, 2), F(4, 5), 1), (F(5, 2), F(-4, 5), 1),
-                              (F(5, 2), -5, 1), (6, -5, 1), (6, F(4, 5), 1)])
+        link = two_component(C5_SECOND)
         diagram = build_good_diagram(link, DIR_Z)
         move = classify_triangle_move(diagram, 2, link=link)
         assert move.log_line() == "C5 1 2 3 [6 7]"
 
     def test_strand_leaves_triangle(self):
-        link = two_component([(-1, F(6, 5), 1), (2, F(1, 2), 1),
-                              (5, F(6, 5), 1), (5, 4, 1), (-1, 4, 1)])
+        link = two_component(CC_SECOND)
         diagram = build_good_diagram(link, DIR_Z)
         assert diagram.k == 2
         move = classify_triangle_move(diagram, 2, link=link)
         assert move.log_line() == "CC 1 2 3 [7 6 8]"
 
     def test_inner_vertex_absorbed(self):
-        link = PolygonalLink.from_lists([
-            [(0, 0, 0), (2, 2, 0), (4, 0, 0), (F(5, 2), F(1, 2), 2),
-             (-1, 1, 2), (-1, -2, 0)]])
+        link = PolygonalLink.from_lists(CA_LINK)
         assert validate_link(link) == []
         diagram = build_good_diagram(link, DIR_Z)
         assert diagram.k == 1
@@ -189,10 +204,7 @@ class TestClassification:
         assert move.log_line() == "CA 1 2 3 [4 5]"
 
     def test_crossing_migrates_to_new_edge(self):
-        link = PolygonalLink.from_lists([
-            [(0, 0, 0), (2, 2, 0), (4, 0, 0), (4, 8, 0), (-8, 4, 0)],
-            [(2, -2, 2), (2, F(1, 2), 2), (-1, 1, 2), (-4, 1, 2),
-             (-4, -4, 2), (3, -4, 2)]])
+        link = PolygonalLink.from_lists(CB_LINK)
         assert validate_link(link) == []
         diagram = build_good_diagram(link, DIR_Z)
         assert diagram.k == 2
@@ -216,6 +228,104 @@ class TestClassification:
         diagram = build_good_diagram(link, DIR_Z)
         with pytest.raises(MoveError, match="3D"):
             classify_triangle_move(diagram, 2, link=link)
+
+
+def outcome(module, diagram, p) -> str:
+    """The log line of the removal of vertex p, or its error text."""
+    try:
+        return module.classify_triangle_move(diagram, p).log_line()
+    except module.MoveError as exc:
+        return f"error: {exc}"
+
+
+def reference_outcome(diagram, p) -> str:
+    try:
+        return classify_reference(diagram, p).log_line()
+    except MoveError as exc:
+        return f"error: {exc}"
+
+
+@pytest.fixture(scope="module")
+def removals():
+    """(diagram, p, the reference's outcome) for every vertex p, and the
+    indices 0 and n + 1 next to them, of the seven fixtures along (0, 0, 1)
+    and along the direction the CLI picks (but twist12), of random_diagram
+    seeds 0-14 and of the links of the named cases in this module."""
+    links = [load_fixture(name) for name in (
+        "square", "two_squares", "trefoil9", "whitehead12", "kink5", "riii",
+        "twist12")]
+    diagrams = [good_diagram_auto(link)[0] for link in links[:-1]]
+    links += [two_component(second) for second in (C4_SECOND, C5_SECOND,
+                                                   CC_SECOND)]
+    riii = TestThirdReidemeister
+    links += [PolygonalLink.from_lists(comps) for comps in (
+        CA_LINK, CB_LINK, [riii.X, riii.Y, riii.Z])]
+    diagrams += [build_good_diagram(link, DIR_Z) for link in links]
+    diagrams += [random_diagram(random.Random(seed))[0] for seed in range(15)]
+    return [(d, p, reference_outcome(d, p))
+            for d in diagrams for p in range(d.n + 2)]
+
+
+def mismatches(module, removals) -> int:
+    return sum(outcome(module, d, p) != expected for d, p, expected in removals)
+
+
+class TestClassifierReference:
+    """The classifier on the projection's int kernels against the Fraction
+    classifier it replaced (``classify_reference``)."""
+
+    def test_matches_reference(self, removals):
+        assert len(removals) > 400
+        assert mismatches(moves, removals) == 0
+        tags = Counter(expected.split()[0] for _d, _p, expected in removals)
+        assert set(tags) == {"C1", "C2", "C3", "C4", "C5", "CA", "CB", "CC",
+                             "RIII", "error:"}
+        errors = {re.sub(r"\d+", "N", expected)
+                  for _d, _p, expected in removals if expected[0] == "e"}
+        assert len(errors) >= 8
+
+    @pytest.mark.parametrize("module, old, new", [
+        # C3's far end taken to be m, as C2's is
+        (moves, "far = m if first else l", "far = m"),
+        # _meetings without its adjacent-edge branch, which yields the
+        # adjacent_crossing witness: an adjacent edge is no longer known to
+        # touch the new edge only at their shared vertex
+        (geometry, 'if a1 in e2 or b1 in e2:', 'if False:'),
+    ], ids=["c3_far_end", "adjacent_witness"])
+    def test_mutant_caught(self, monkeypatch, removals, module, old, new):
+        source = inspect.getsource(module)
+        assert source.count(old) == 1
+        mutant = types.ModuleType(module.__name__ + "_mutant")
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(old, new), mutant.__name__, "exec"),
+             mutant.__dict__)
+        if module is geometry:
+            monkeypatch.setattr(moves, "_meetings", mutant._meetings)
+            mutant = moves
+        assert mismatches(mutant, removals) > 0
+
+    def test_no_fraction_kernels(self, whitehead_diagram):
+        # every planar test of the classifier runs on ints: classifying
+        # each vertex of whitehead12 calls none of the Fraction predicates
+        names = {"seg2_intersection", "point_on_seg2", "_point_in_triangle2",
+                 "point_in_triangle2", "_meetings"}
+        calls = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name in names:
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            for p in range(1, whitehead_diagram.n + 1):
+                try:
+                    classify_triangle_move(whitehead_diagram, p)
+                except MoveError:
+                    pass
+        finally:
+            sys.setprofile(None)
+        assert set(calls) - {"_meetings"} == set()
+        assert calls["_meetings"] > 0
 
 
 class TestThirdReidemeister:
@@ -378,9 +488,7 @@ class TestAlgebraicUpdates:
         assert tags == {"C2", "C3"}
 
     def test_composite_moves_require_rebuild(self):
-        link = PolygonalLink.from_lists([
-            [(0, 0, 0), (2, 2, 0), (4, 0, 0), (F(5, 2), F(1, 2), 2),
-             (-1, 1, 2), (-1, -2, 0)]])
+        link = PolygonalLink.from_lists(CA_LINK)
         diagram = build_good_diagram(link, DIR_Z)
         move = classify_triangle_move(diagram, 2, link=link)
         cube = build_cube(diagram)
@@ -401,12 +509,7 @@ class TestAlgebraicUpdates:
                     in cycle_partition(rebuilt.vertices[word].state.successor))
 
     def test_generator_for_sliding_crossings(self):
-        for second, tag in [
-            ([(F(-1, 2), F(4, 5), 1), (F(3, 2), F(-4, 5), 1),
-              (F(3, 2), -5, 1), (-2, -5, 1), (-2, F(4, 5), 1)], "C4"),
-            ([(F(9, 2), F(4, 5), 1), (F(5, 2), F(-4, 5), 1),
-              (F(5, 2), -5, 1), (6, -5, 1), (6, F(4, 5), 1)], "C5"),
-        ]:
+        for second, tag in [(C4_SECOND, "C4"), (C5_SECOND, "C5")]:
             link = two_component(second)
             diagram = build_good_diagram(link, DIR_Z)
             move = classify_triangle_move(diagram, 2, link=link)
@@ -469,22 +572,11 @@ class TestApplyMove:
     def test_crossing_deltas(self):
         fixtures = [
             (load_fixture("kink5"), 2, "C2", -1),
-            (two_component([(F(-1, 2), F(4, 5), 1), (F(3, 2), F(-4, 5), 1),
-                            (F(3, 2), -5, 1), (-2, -5, 1),
-                            (-2, F(4, 5), 1)]), 2, "C4", 0),
-            (two_component([(F(9, 2), F(4, 5), 1), (F(5, 2), F(-4, 5), 1),
-                            (F(5, 2), -5, 1), (6, -5, 1),
-                            (6, F(4, 5), 1)]), 2, "C5", 0),
-            (two_component([(-1, F(6, 5), 1), (2, F(1, 2), 1),
-                            (5, F(6, 5), 1), (5, 4, 1), (-1, 4, 1)]),
-             2, "CC", -2),
-            (PolygonalLink.from_lists([
-                [(0, 0, 0), (2, 2, 0), (4, 0, 0), (F(5, 2), F(1, 2), 2),
-                 (-1, 1, 2), (-1, -2, 0)]]), 2, "CA", -1),
-            (PolygonalLink.from_lists([
-                [(0, 0, 0), (2, 2, 0), (4, 0, 0), (4, 8, 0), (-8, 4, 0)],
-                [(2, -2, 2), (2, F(1, 2), 2), (-1, 1, 2), (-4, 1, 2),
-                 (-4, -4, 2), (3, -4, 2)]]), 2, "CB", 0),
+            (two_component(C4_SECOND), 2, "C4", 0),
+            (two_component(C5_SECOND), 2, "C5", 0),
+            (two_component(CC_SECOND), 2, "CC", -2),
+            (PolygonalLink.from_lists(CA_LINK), 2, "CA", -1),
+            (PolygonalLink.from_lists(CB_LINK), 2, "CB", 0),
         ]
         for link, p, tag, delta in fixtures:
             before = build_good_diagram(link, DIR_Z)
