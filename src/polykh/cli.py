@@ -12,15 +12,14 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from .geometry import (GeometryError, PolygonalLink,
-                       validate_link, find_regular_direction, refine_to_good,
-                       regularity_witness, deform_add_vertex,
+from .geometry import (GeometryError, PolygonalLink, validate_link,
+                       find_regular_direction, deform_add_vertex,
                        deform_remove_vertex)
 from .linkfile import (LinkFileError, parse_link, parse_integer,
                        parse_rational, load_link, dump_link)
-from .diagram import (DiagramError, GoodDiagram, build_good_diagram,
-                      good_diagram_auto)
+from .diagram import DiagramError, GoodDiagram, good_diagram_auto
 from .cube import Cube, CubeError, build_cube
 from .khovanov import (KhovanovError, jones_state_sum, normalized_jones,
                        build_complex, homology, khovanov_homology,
@@ -49,39 +48,6 @@ def _parse_direction(text: str):
         raise LinkFileError(f"bad direction {text!r}: expected a nonzero "
                             "vector")
     return tuple(parts)
-
-
-# the regularity witnesses of a nonzero direction, in words
-_WITNESS_WORDS = {
-    "vertex_collision": "the images of vertices {} and {} coincide",
-    "vertex_on_edge": "the image of vertex {} lies on the image of edge {}",
-    "segment_overlap": "the images of edges {} and {} overlap",
-    "adjacent_crossing": "the images of edges {} and {} cross beyond their "
-                         "common vertex",
-    "triple_point": "edges {} and {} cross where edges {} and {} do",
-}
-
-
-def _witness_words(witness) -> str:
-    """A regularity witness in words: its vertices and edges, (a,b) for the
-    edge a->b, filled into its tag's sentence."""
-    tag, data = witness
-    if tag == "triple_point":
-        data = data[0] + data[1]        # two pairs of edges
-    return _WITNESS_WORDS[tag].format(
-        *[x if isinstance(x, int) else f"({x[0]},{x[1]})" for x in data])
-
-
-def _require_regular(link: PolygonalLink, direction) -> None:
-    """Raise a GeometryError that names the witness in words if
-    ``direction`` is given and not regular for ``link``."""
-    if direction is None:
-        return
-    witness = regularity_witness(link, direction)
-    if witness is not None:
-        raise GeometryError(
-            f"direction {','.join(map(str, direction))} is not regular: "
-            f"{_witness_words(witness)}")
 
 
 def _count(text: str) -> int:
@@ -113,11 +79,7 @@ def _parse_order(text: str, k: int):
 def _pipeline(args) -> tuple[GoodDiagram, PolygonalLink, tuple]:
     link = load_link(args.file)
     direction = _parse_direction(args.dir) if args.dir else None
-    try:
-        return good_diagram_auto(link, direction=direction, seed=args.seed)
-    except GeometryError:
-        _require_regular(link, direction)
-        raise
+    return good_diagram_auto(link, direction=direction, seed=args.seed)
 
 
 def _emit(text: str, out_path) -> None:
@@ -155,7 +117,7 @@ def crossing_table(diagram: GoodDiagram) -> str:
 
 def cmd_validate(args) -> int:
     try:
-        link = parse_link(open(args.file).read())
+        link = parse_link(Path(args.file).read_text())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -254,11 +216,7 @@ def cmd_deform(args) -> int:
         if not 1 <= args.remove <= link.n:
             raise LinkFileError(f"--remove: no vertex {args.remove} in a "
                                 f"{link.n}-vertex link")
-        try:
-            move, link2, _d2 = apply_move(link, direction, args.remove)
-        except GeometryError:
-            _require_regular(link, direction)
-            raise
+        move, link2, _d2 = apply_move(link, direction, args.remove)
         print(move.log_line())
     elif args.add is not None:
         fields = args.add.split(",")
@@ -466,8 +424,7 @@ def _move_invariance(link: PolygonalLink, direction, base_table,
         apex = tuple(a[i] + lam * (b[i] - a[i]) + off[i] for i in range(3))
         try:
             link2 = deform_add_vertex(current, ci, pos, apex)
-            diagram2 = build_good_diagram(refine_to_good(link2, direction),
-                                          direction)
+            diagram2 = good_diagram_auto(link2, direction)[0]
         except (GeometryError, DiagramError):
             continue
         if diagram2.n != link2.n:

@@ -183,13 +183,6 @@ def _same_cycle(p: list[int], x: int, y: int) -> bool:
     return z == y
 
 
-def _left_swap(p: list[int], a: int, b: int) -> list[int]:
-    """compose(T(a, b), p): the preimages of a and b swap their images."""
-    q = p[:]
-    q[p.index(a)], q[p.index(b)] = b, a
-    return q
-
-
 def _right_swap(p: list[int], a: int, b: int) -> list[int]:
     """compose(p, T(a, b)): positions a and b swap their images."""
     q = p[:]
@@ -260,7 +253,9 @@ def _formula_images(crossing: CrossingRecord, s: list[int],
                         f"({i},{j},{v},{w}) present in sigma")
     aligned = fwd == (s[v] == w)
     x, y = (w, v) if aligned else (v, w)
-    tau = _left_swap(s, j, x) if fwd else _right_swap(s, j, x)
+    # when sigma maps i->j and y->x, compose(T(j, x), sigma) swaps the
+    # images of positions i and y
+    tau = _right_swap(s, i, y) if fwd else _right_swap(s, j, x)
     if ((choice == 0) == (crossing.sign == 1)) == aligned:
         res = tau
     elif _same_cycle(s, i, v):

@@ -8,14 +8,13 @@ and w of v, and each edge meets at most one crossing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .exact import GeometryError, Vec2, Vec3, cross2, sub2
+from .exact import Vec2, Vec3, cross2, sub2
 from .geometry import (ComponentNeighbours, PolygonalLink, Projection,
-                       project_link, is_good_projection, refine_to_good,
-                       find_regular_direction)
+                       project_link, _good_projection, find_regular_direction)
 from .perm import Permutation
 
 
@@ -82,56 +81,37 @@ def crossing_sign(qi: Vec2, qj: Vec2, qv: Vec2, qw: Vec2) -> int:
     return 1 if c > 0 else -1
 
 
-def enumerate_crossings(boundaries, raw) -> list:
-    """Order raw crossings by the walk along their overcrossing edges.
-
-    The walk visits global indices 1..n in order (components consecutively,
-    each starting at its lowest index); a crossing gets the smallest unused
-    number when the walk traverses its overcrossing edge.  The resulting
-    i-sequence is nondecreasing.
-    """
-    by_start = {}
-    for rc in raw:
-        if rc.over_edge[0] in by_start:
-            raise DiagramError(f"edge {rc.over_edge} carries two crossings")
-        by_start[rc.over_edge[0]] = rc
-    n = boundaries[-1]
-    ordered = [by_start[gi] for gi in range(1, n + 1) if gi in by_start]
-    if len(ordered) != len(raw):
-        raise DiagramError("unnumbered crossing after full walk")
-    return ordered
-
-
 def build_good_diagram(link: PolygonalLink, direction: Vec3) -> GoodDiagram:
     """Project along a regular direction and extract ordered, signed crossings.
 
-    The projection must already be good; raises otherwise, naming an edge
-    that carries two crossings (refine the link first).
+    The projection must already be good; raises otherwise, naming the edges
+    that carry two crossings or more (refine the link first).
     """
     proj = project_link(link, direction)
-    if not is_good_projection(proj):
-        counts: dict = {}
-        for rc in proj.crossings:
-            for e in (rc.over_edge, rc.under_edge):
-                counts[e] = counts.get(e, 0) + 1
-        bad = sorted(e for e, c in counts.items() if c > 1)
+    counts = Counter(e for rc in proj.crossings
+                     for e in (rc.over_edge, rc.under_edge))
+    bad = sorted(e for e, c in counts.items() if c > 1)
+    if bad:
         raise DiagramError(
-            f"projection not good; edge(s) {bad or '(adjacent pair)'} carry "
-            f"multiple crossings — refine the link first")
+            f"projection not good; edge(s) {bad} carry multiple "
+            "crossings — refine the link first")
     return diagram_from_projection(proj)
 
 
 def diagram_from_projection(proj: Projection) -> GoodDiagram:
-    link = proj.link
-    ordered = enumerate_crossings(link.boundaries, proj.crossings)
+    """The diagram of the good projection ``proj``.  A walk along global
+    indices 1..n numbers each crossing when it traverses the crossing's
+    over edge, which carries no other crossing, so the i-sequence
+    increases."""
     records = []
+    ordered = sorted(proj.crossings, key=lambda rc: rc.over_edge[0])
     for m, rc in enumerate(ordered, start=1):
         i, j = rc.over_edge
         v, w = rc.under_edge
         sign = crossing_sign(proj.point2d(i), proj.point2d(j),
                              proj.point2d(v), proj.point2d(w))
         records.append(CrossingRecord(m, i, j, v, w, sign, rc.point))
-    return GoodDiagram(proj.points2d, link.boundaries, tuple(records))
+    return GoodDiagram(proj.points2d, proj.link.boundaries, tuple(records))
 
 
 def good_diagram_auto(link: PolygonalLink, direction: Optional[Vec3] = None,
@@ -142,5 +122,5 @@ def good_diagram_auto(link: PolygonalLink, direction: Optional[Vec3] = None,
     """
     if direction is None:
         direction = find_regular_direction(link, seed=seed)
-    refined = refine_to_good(link, direction)
-    return build_good_diagram(refined, direction), refined, direction
+    proj = _good_projection(link, direction)
+    return diagram_from_projection(proj), proj.link, direction

@@ -28,9 +28,7 @@ class DeformationError(GeometryError):
 
 
 class DirectionSearchError(GeometryError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """No regular direction within the sampling budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +155,6 @@ class PolygonalLink(ComponentNeighbours):
 @dataclass(frozen=True)
 class Violation:
     kind: str
-    indices: tuple
     message: str
 
     def __str__(self):
@@ -169,8 +166,8 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
     out: list[Violation] = []
     for ci, comp in enumerate(link.components):
         if len(comp) < 3:
-            out.append(Violation("short_component", (ci,),
-                                 f"component {ci} needs >= 3 vertices, has {len(comp)}"))
+            out.append(Violation("short_component", f"component {ci} needs "
+                                 f">= 3 vertices, has {len(comp)}"))
     if out:
         return out
 
@@ -179,8 +176,8 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
     seen: dict[tuple, int] = {}
     for gi, p in enumerate(pts, start=1):
         if p in seen:
-            out.append(Violation("duplicate_point", (seen[p], gi),
-                                 f"duplicate point at indices ({seen[p]},{gi})"))
+            out.append(Violation("duplicate_point", f"duplicate point at "
+                                 f"indices ({seen[p]},{gi})"))
         else:
             seen[p] = gi
     if out:
@@ -190,8 +187,8 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
     for gi in range(1, n + 1):
         a, b, c = link.predecessor(gi), gi, link.successor(gi)
         if collinear3(pts[a - 1], pts[b - 1], pts[c - 1]):
-            out.append(Violation("collinear_triple", (a, b, c),
-                                 f"collinear consecutive points ({a},{b},{c})"))
+            out.append(Violation("collinear_triple", f"collinear "
+                                 f"consecutive points ({a},{b},{c})"))
 
     edges = link.edges()
     for idx1 in range(len(edges)):
@@ -208,12 +205,12 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
                 t, den = hit[1], hit[2]
                 if (t == 0 and i1 in (i2, j2)) or (t == den and j1 in (i2, j2)):
                     continue
-                out.append(Violation("edge_intersection", ((i1, j1), (i2, j2)),
-                                     f"edges ({i1},{j1}) and ({i2},{j2}) intersect "
-                                     f"away from a common endpoint"))
+                out.append(Violation("edge_intersection", f"edges ({i1},{j1}) "
+                                     f"and ({i2},{j2}) intersect away from a "
+                                     "common endpoint"))
             else:
-                out.append(Violation("edge_overlap", ((i1, j1), (i2, j2)),
-                                     f"edges ({i1},{j1}) and ({i2},{j2}) overlap in a segment"))
+                out.append(Violation("edge_overlap", f"edges ({i1},{j1}) and "
+                                     f"({i2},{j2}) overlap in a segment"))
     return out
 
 
@@ -270,11 +267,36 @@ class Projection:
 
 
 def project_link(link: PolygonalLink, direction: Vec3) -> Projection:
-    """Project; raises GeometryError if the direction is not regular."""
+    """Project; raises GeometryError, naming the witness in words, if the
+    direction is not regular."""
     witness, proj = _project(link, direction)
     if witness is not None:
-        raise GeometryError(f"direction {direction} not regular: {witness}")
+        raise GeometryError(
+            f"direction {','.join(map(str, direction))} is not regular: "
+            f"{_witness_words(witness)}")
     return proj
+
+
+# the regularity witnesses in words, with (a,b) for the edge a->b
+_WITNESS_WORDS = {
+    "zero_direction": "it is the zero vector",
+    "vertex_collision": "the images of vertices {} and {} coincide",
+    "vertex_on_edge": "the image of vertex {} lies on the image of edge {}",
+    "segment_overlap": "the images of edges {} and {} overlap",
+    "adjacent_crossing": "the images of edges {} and {} cross beyond their "
+                         "common vertex",
+    "triple_point": "edges {} and {} cross where edges {} and {} do",
+}
+
+
+def _witness_words(witness) -> str:
+    """A regularity witness's vertices and edges filled into its tag's
+    sentence."""
+    tag, data = witness
+    if tag == "triple_point":
+        data = data[0] + data[1]        # two pairs of edges
+    return _WITNESS_WORDS[tag].format(
+        *[x if isinstance(x, int) else f"({x[0]},{x[1]})" for x in data])
 
 
 def regularity_witness(link: PolygonalLink, direction: Vec3):
@@ -391,7 +413,6 @@ def find_regular_direction(link: PolygonalLink, seed: int = 0,
     """Seeded rejection sampling of small-integer directions."""
     rng = random.Random(seed)
     bound = 3
-    witness = None
     for attempt in range(budget):
         if attempt and attempt % 500 == 0:
             bound *= 2
@@ -400,11 +421,9 @@ def find_regular_direction(link: PolygonalLink, seed: int = 0,
                     rng.randint(-bound, bound))
         if cand == ZERO3:
             continue
-        witness = regularity_witness(link, cand)
-        if witness is None:
+        if regularity_witness(link, cand) is None:
             return cand
-    raise DirectionSearchError(
-        f"no regular direction in {budget} attempts", witness=witness)
+    raise DirectionSearchError(f"no regular direction in {budget} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +517,6 @@ def _badness(proj: Projection) -> int:
     return len(edges) - len(set(edges))
 
 
-def is_good_projection(proj: Projection) -> bool:
-    return _badness(proj) == 0
-
-
 def refine_to_good(link: PolygonalLink, direction: Vec3,
                    max_rounds: int = 500) -> PolygonalLink:
     """Insert vertices (type-I deformations) until every edge image carries
@@ -513,11 +528,17 @@ def refine_to_good(link: PolygonalLink, direction: Vec3,
     halved until the deformation triangle is verifiably empty and the
     projection stays regular without changing the crossing count.
     """
+    return _good_projection(link, direction, max_rounds).link
+
+
+def _good_projection(link: PolygonalLink, direction: Vec3,
+                     max_rounds: int = 500) -> Projection:
+    """``refine_to_good``, returning the refined link's good projection."""
     proj = project_link(link, direction)
     for _ in range(max_rounds):
         bad = _badness(proj)
         if bad == 0:
-            return proj.link
+            return proj
         proj = _insert_refinement_vertex(proj, _pick_refinement_target(proj),
                                          bad)
     raise GeometryError("refinement did not converge")

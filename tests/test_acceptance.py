@@ -19,8 +19,8 @@ from polykh import (PolygonalLink, validate_link, find_regular_direction,
 from polykh.cube import initial_state, smooth_crossing_trace, \
     smooth_crossing_theorem
 from polykh.moves import classify_triangle_move, transform_cube, apply_move
-from polykh.geometry import GeometryError, DeformationError, project_link, \
-    is_good_projection
+from polykh.geometry import (GeometryError, DeformationError, _badness,
+                             project_link)
 from polykh.diagram import DiagramError
 
 from conftest import (DIR_Z, cycle_partition, parse_cycles, random_link,
@@ -236,7 +236,7 @@ def test_criterion_7_refinement():
         direction = find_regular_direction(link, seed=rng.randrange(1 << 20))
         refined = refine_to_good(link, direction)
         assert validate_link(refined) == []
-        assert is_good_projection(project_link(refined, direction))
+        assert _badness(project_link(refined, direction)) == 0
         diagram = build_good_diagram(refined, direction)
         per_edge = {}
         for cr in diagram.crossings:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import polykh.cli
 import polykh.geometry
 import polykh.khovanov
 from polykh.cli import main
-from polykh import fixture_path, load_fixture, parse_link, PolygonalLink
+from polykh import (GeometryError, build_good_diagram, fixture_path,
+                    load_fixture, parse_link, PolygonalLink)
 
 TREFOIL = str(fixture_path("trefoil9"))
 SQUARE = str(fixture_path("square"))
@@ -181,9 +183,39 @@ class TestDiagram:
          "vertex"),
         (("triple_point", (((1, 2), (5, 6)), ((1, 2), (8, 9)))),
          "edges (1,2) and (5,6) cross where edges (1,2) and (8,9) do"),
+        (("zero_direction", ()), "it is the zero vector"),
     ])
     def test_witness_words(self, witness, words):
-        assert polykh.cli._witness_words(witness) == words
+        assert polykh.geometry._witness_words(witness) == words
+
+    def test_library_words_the_witness_as_the_cli_does(self, capsys):
+        direction = (Fraction(1), Fraction(0), Fraction(0))
+        with pytest.raises(GeometryError) as exc:
+            build_good_diagram(load_fixture("trefoil9"), direction)
+        assert str(exc.value) == ("direction 1,0,0 is not regular: the "
+                                  "images of vertices 3 and 6 coincide")
+        _, _, err = run(capsys, "diagram", TREFOIL, "--dir", "1,0,0")
+        assert err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("argv, calls", [
+        (("diagram", "twist12"), 12),
+        (("diagram", "trefoil9", "--dir", "1,0,0"), 1),
+        (("diagram", "trefoil9", "--dir", "0,0,1"), 1),
+        (("verify", "trefoil9", "--dir", "0,0,1", "--trials", "3"), 4),
+    ])
+    def test_projections_per_run(self, capsys, monkeypatch, argv, calls):
+        # the direction search projects once per sampled direction, and
+        # then each link is projected once: the refined projection is the
+        # diagram, and a failure is worded where it is found
+        project = polykh.geometry._project
+        seen = []
+
+        def counting(link, direction):
+            seen.append(direction)
+            return project(link, direction)
+        monkeypatch.setattr(polykh.geometry, "_project", counting)
+        run(capsys, argv[0], str(fixture_path(argv[1])), *argv[2:])
+        assert len(seen) == calls
 
 
 @pytest.mark.parametrize("token", ["1e100000000", "1.5", "nan"])

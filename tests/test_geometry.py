@@ -19,7 +19,7 @@ from polykh.geometry import (GeometryError, DeformationError,
                              DirectionSearchError, PolygonalLink,
                              validate_link, chart_basis,
                              regularity_witness, find_regular_direction,
-                             refine_to_good, is_good_projection, project_link,
+                             refine_to_good, project_link,
                              triangle_obstruction, deform_add_vertex,
                              deform_remove_vertex, DENOMINATOR_BITS, _capped)
 from polykh import geometry, load_fixture, build_good_diagram
@@ -399,6 +399,12 @@ class TestRegularity:
         assert regularity_witness(square_link,
                                   (F(1), F(0), F(0))) is not None
 
+    def test_zero_direction_named_in_words(self, square_link):
+        with pytest.raises(GeometryError) as exc:
+            project_link(square_link, (F(0), F(0), F(0)))
+        assert str(exc.value) == ("direction 0,0,0 is not regular: it is "
+                                  "the zero vector")
+
     def test_trefoil_vertical_is_regular(self, trefoil_link):
         assert regularity_witness(trefoil_link, DIR_Z) is None
 
@@ -431,7 +437,7 @@ class TestRefinement:
             direction = find_regular_direction(link, seed=rng.randrange(1000))
             refined = refine_to_good(link, direction)
             assert validate_link(refined) == []
-            assert is_good_projection(project_link(refined, direction))
+            assert geometry._badness(project_link(refined, direction)) == 0
             # refinement preserves the underlying knot: homology is checked
             # in the acceptance suite; here just the diagram bound
             diagram = build_good_diagram(refined, direction)
