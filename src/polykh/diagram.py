@@ -87,7 +87,15 @@ def build_good_diagram(link: PolygonalLink, direction: Vec3) -> GoodDiagram:
     The projection must already be good; raises otherwise, naming the edges
     that carry two crossings or more (refine the link first).
     """
-    proj = project_link(link, direction)
+    return diagram_from_projection(project_link(link, direction))
+
+
+def diagram_from_projection(proj: Projection) -> GoodDiagram:
+    """The diagram of the regular projection ``proj``; raises, naming the
+    edges that carry two crossings or more, if it is not good.  A walk
+    along global indices 1..n numbers each crossing when it traverses the
+    crossing's over edge, which carries no other crossing, so the
+    i-sequence increases.  The signs are the projection's."""
     counts = Counter(e for rc in proj.crossings
                      for e in (rc.over_edge, rc.under_edge))
     bad = sorted(e for e, c in counts.items() if c > 1)
@@ -95,22 +103,10 @@ def build_good_diagram(link: PolygonalLink, direction: Vec3) -> GoodDiagram:
         raise DiagramError(
             f"projection not good; edge(s) {bad} carry multiple "
             "crossings — refine the link first")
-    return diagram_from_projection(proj)
-
-
-def diagram_from_projection(proj: Projection) -> GoodDiagram:
-    """The diagram of the good projection ``proj``.  A walk along global
-    indices 1..n numbers each crossing when it traverses the crossing's
-    over edge, which carries no other crossing, so the i-sequence
-    increases."""
-    records = []
-    ordered = sorted(proj.crossings, key=lambda rc: rc.over_edge[0])
-    for m, rc in enumerate(ordered, start=1):
-        i, j = rc.over_edge
-        v, w = rc.under_edge
-        sign = crossing_sign(proj.point2d(i), proj.point2d(j),
-                             proj.point2d(v), proj.point2d(w))
-        records.append(CrossingRecord(m, i, j, v, w, sign, rc.point))
+    records = [CrossingRecord(m, *rc.over_edge, *rc.under_edge, rc.sign,
+                              rc.point)
+               for m, rc in enumerate(sorted(
+                   proj.crossings, key=lambda rc: rc.over_edge[0]), start=1)]
     return GoodDiagram(proj.points2d, proj.link.boundaries, tuple(records))
 
 

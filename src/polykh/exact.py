@@ -15,7 +15,7 @@ and peak RSS grew with each repetition of the same work.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -87,6 +87,39 @@ def _integral(points) -> tuple[list[tuple[int, ...]], int]:
     m = lcm(*{c.denominator for p in points for c in p})
     return [tuple([c.numerator * (m // c.denominator) for c in p])
             for p in points], m
+
+
+def _integral_with(pts, m: int, point: Vec3):
+    """``point`` scaled to ints together with ``pts``, int points at scale
+    m: (a new list of ``pts`` at the common scale, ``point`` at it, and the
+    extra factor g, the common scale being m * g).
+
+    Only the point's denominators are read, so a link's cached ints need
+    not be made again for each point checked against it.
+    """
+    g = 1
+    for x in point:
+        g = lcm(g, x.denominator // gcd(x.denominator, m))
+    q = tuple([x.numerator * (m * g // x.denominator) for x in point])
+    if g == 1:
+        return list(pts), q, g
+    return [(x * g, y * g, z * g) for x, y, z in pts], q, g
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The smallest-denominator rational strictly between lo and hi.
+
+    Keeping subdivision parameters simple stops coordinate denominators from
+    compounding across refinement rounds.
+    """
+    fl = lo.numerator // lo.denominator
+    if lo < fl + 1 < hi:
+        return Fraction(fl + 1)
+    lo2, hi2 = lo - fl, hi - fl
+    if lo2 == 0:
+        n = (Fraction(1) / hi2).numerator // (Fraction(1) / hi2).denominator + 1
+        return fl + Fraction(1, n)
+    return fl + 1 / _simplest_between(1 / hi2, 1 / lo2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +268,20 @@ def segment_meets_triangle_beyond(p: Vec3, q: Vec3, d1, d2,
         return False
     sides = [orient3(p, q, a, b), orient3(p, q, b, c), orient3(p, q, c, a)]
     return min(sides) >= 0 or max(sides) <= 0
+
+
+def _obstruction(pts, edges, tri, ends):
+    """The first of ``edges``, index pairs into the points ``pts``, that
+    meets the closed triangle ``tri`` anywhere but at its own ends among the
+    indices ``ends``; None if none does."""
+    a, b, c = tri
+    nrm = cross3(sub3(b, a), sub3(c, a))
+    if nrm == ZERO3:
+        raise GeometryError("degenerate triangle")
+    height = [dot3(nrm, sub3(p, a)) for p in pts]
+    for i, j in edges:
+        if height[i - 1] * height[j - 1] <= 0 and segment_meets_triangle_beyond(
+                pts[i - 1], pts[j - 1], height[i - 1], height[j - 1], tri,
+                [pts[g - 1] for g in (i, j) if g in ends]):
+            return i, j
+    return None

@@ -15,12 +15,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .exact import (GeometryError, Vec2, Vec3, ZERO3, _integral, _seg2_hit,
-                    _seg3_hit, add3, collinear3, cross3, dot3, scale3,
-                    segment_meets_triangle_beyond, sub3, vec3)
+from .exact import (GeometryError, Vec2, Vec3, ZERO3, _integral,
+                    _integral_with, _obstruction, _seg2_hit, _seg3_hit,
+                    _simplest_between, add3, collinear3, cross2, cross3,
+                    dot3, scale3, sub2, sub3, vec3)
 
 
 class DeformationError(GeometryError):
@@ -129,27 +130,21 @@ class PolygonalLink(ComponentNeighbours):
         return [(gi, self.successor(gi)) for gi in range(1, self.n + 1)]
 
     def all_vertices(self) -> list[Vec3]:
-        out = []
-        for comp in self.components:
-            out.extend(comp)
-        return out
+        return [p for comp in self.components for p in comp]
 
     def with_vertex_inserted(self, ci: int, pos: int, point: Vec3) -> "PolygonalLink":
         """New link with ``point`` inserted after local position ``pos`` (0-based)."""
-        comp = list(self.components[ci])
-        comp.insert(pos + 1, point)
-        comps = list(self.components)
-        comps[ci] = tuple(comp)
-        return PolygonalLink(tuple(comps))
+        comp = self.components[ci]
+        return self._with(ci, comp[:pos + 1] + (point,) + comp[pos + 1:])
 
     def with_vertex_removed(self, gi: int) -> "PolygonalLink":
         ci = self.component_of(gi)
-        lo, _ = self.component_range(ci)
-        comp = list(self.components[ci])
-        del comp[gi - lo]
-        comps = list(self.components)
-        comps[ci] = tuple(comp)
-        return PolygonalLink(tuple(comps))
+        pos, comp = gi - self.component_range(ci)[0], self.components[ci]
+        return self._with(ci, comp[:pos] + comp[pos + 1:])
+
+    def _with(self, ci: int, comp: tuple[Vec3, ...]) -> "PolygonalLink":
+        comps = self.components
+        return PolygonalLink(comps[:ci] + (comp,) + comps[ci + 1:])
 
 
 @dataclass(frozen=True)
@@ -184,34 +179,43 @@ def validate_link(link: PolygonalLink) -> list[Violation]:
         # coincident points make the edge-geometry checks degenerate
         return out
 
-    for gi in range(1, n + 1):
-        a, b, c = link.predecessor(gi), gi, link.successor(gi)
+    out += _collinear_triples(link, pts, range(1, n + 1))
+    edges = link.edges()
+    for idx1, e1 in enumerate(edges):
+        out += filter(None, [_pair_violation(pts, e1, e2)
+                             for e2 in edges[idx1 + 1:]])
+    return out
+
+
+def _collinear_triples(link: PolygonalLink, pts, middles) -> list[Violation]:
+    """The collinear consecutive triples of the link centred on the global
+    indices ``middles``, given its points ``pts`` (at any common scale)."""
+    out = []
+    for b in middles:
+        a, c = link.predecessor(b), link.successor(b)
         if collinear3(pts[a - 1], pts[b - 1], pts[c - 1]):
             out.append(Violation("collinear_triple", f"collinear "
                                  f"consecutive points ({a},{b},{c})"))
-
-    edges = link.edges()
-    for idx1 in range(len(edges)):
-        i1, j1 = edges[idx1]
-        a, b = pts[i1 - 1], pts[j1 - 1]
-        for idx2 in range(idx1 + 1, len(edges)):
-            i2, j2 = edges[idx2]
-            hit = _seg3_hit(a, b, pts[i2 - 1], pts[j2 - 1])
-            if hit is None:
-                continue
-            if hit[0] == "point":
-                # the points are distinct, so the hit is the common endpoint
-                # exactly when it sits at that end of the first edge
-                t, den = hit[1], hit[2]
-                if (t == 0 and i1 in (i2, j2)) or (t == den and j1 in (i2, j2)):
-                    continue
-                out.append(Violation("edge_intersection", f"edges ({i1},{j1}) "
-                                     f"and ({i2},{j2}) intersect away from a "
-                                     "common endpoint"))
-            else:
-                out.append(Violation("edge_overlap", f"edges ({i1},{j1}) and "
-                                     f"({i2},{j2}) overlap in a segment"))
     return out
+
+
+def _pair_violation(pts, e1, e2) -> Optional[Violation]:
+    """How edge e1 meets the later edge e2 other than in a common endpoint,
+    given the link's distinct int points ``pts``; None if it does not."""
+    (i1, j1), (i2, j2) = e1, e2
+    hit = _seg3_hit(pts[i1 - 1], pts[j1 - 1], pts[i2 - 1], pts[j2 - 1])
+    if hit is None:
+        return None
+    if hit[0] == "point":
+        # the points are distinct, so the hit is the common endpoint exactly
+        # when it sits at that end of the first edge
+        t, den = hit[1], hit[2]
+        if (t == 0 and i1 in e2) or (t == den and j1 in e2):
+            return None
+        return Violation("edge_intersection", f"edges ({i1},{j1}) and "
+                         f"({i2},{j2}) intersect away from a common endpoint")
+    return Violation("edge_overlap", f"edges ({i1},{j1}) and ({i2},{j2}) "
+                     "overlap in a segment")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +256,7 @@ class RawCrossing:
     point: Vec2
     t_over: Fraction
     t_under: Fraction
+    sign: int       # of the crossing in the chart, as ``crossing_sign``
 
 
 @dataclass(frozen=True)
@@ -261,9 +266,6 @@ class Projection:
     chart: tuple[Vec3, Vec3]
     points2d: tuple[Vec2, ...]  # image of global vertex i at index i-1
     crossings: tuple[RawCrossing, ...]
-
-    def point2d(self, gi: int) -> Vec2:
-        return self.points2d[gi - 1]
 
 
 def project_link(link: PolygonalLink, direction: Vec3) -> Projection:
@@ -394,9 +396,10 @@ def _raw_crossing(e1, e2, t, s, den, img, depth, scale) -> RawCrossing:
     """The crossing of the images of edges e1 and e2 at parameters t/den
     along e1 and s/den along e2, given ``img`` and ``depth``, the vertex
     images and heights times ``scale``: the edge that is higher there is
-    the over edge."""
+    the over edge, and the sign is that of (over edge) x (under edge)."""
     (a1, b1), (a2, b2) = e1, e2
     p, p2 = img[a1 - 1], img[b1 - 1]
+    sign = 1 if cross2(sub2(p2, p), sub2(img[b2 - 1], img[a2 - 1])) > 0 else -1
     pt = (Fraction(p[0] * den + t * (p2[0] - p[0]), den * scale),
           Fraction(p[1] * den + t * (p2[1] - p[1]), den * scale))
     # den * scale * height of each edge at the crossing
@@ -404,8 +407,8 @@ def _raw_crossing(e1, e2, t, s, den, img, depth, scale) -> RawCrossing:
     h2 = depth[a2 - 1] * den + s * (depth[b2 - 1] - depth[a2 - 1])
     t, s = Fraction(t, den), Fraction(s, den)
     if h1 > h2:
-        return RawCrossing(e1, e2, pt, t, s)
-    return RawCrossing(e2, e1, pt, s, t)
+        return RawCrossing(e1, e2, pt, t, s, sign)
+    return RawCrossing(e2, e1, pt, s, t, -sign)
 
 
 def find_regular_direction(link: PolygonalLink, seed: int = 0,
@@ -430,23 +433,6 @@ def find_regular_direction(link: PolygonalLink, seed: int = 0,
 # triangle deformations
 
 
-def _obstruction(pts, edges, tri, ends):
-    """The first of ``edges``, index pairs into the points ``pts``, that
-    meets the closed triangle ``tri`` anywhere but at its own ends among the
-    indices ``ends``; None if none does."""
-    a, b, c = tri
-    nrm = cross3(sub3(b, a), sub3(c, a))
-    if nrm == ZERO3:
-        raise GeometryError("degenerate triangle")
-    height = [dot3(nrm, sub3(p, a)) for p in pts]
-    for i, j in edges:
-        if height[i - 1] * height[j - 1] <= 0 and segment_meets_triangle_beyond(
-                pts[i - 1], pts[j - 1], height[i - 1], height[j - 1], tri,
-                [pts[g - 1] for g in (i, j) if g in ends]):
-            return i, j
-    return None
-
-
 def triangle_obstruction(link: PolygonalLink, gl: int, gm: int,
                          apex: Vec3) -> Optional[tuple[int, int]]:
     """First link edge meeting triangle (q_l, apex, q_m) beyond segment l-m.
@@ -455,17 +441,20 @@ def triangle_obstruction(link: PolygonalLink, gl: int, gm: int,
     intersection is exactly that segment.  Returns None when the triangle is
     clear, else the offending edge.
     """
-    pts, _ = _integral(link.all_vertices() + [apex])
+    pts, q, _ = _integral_with(*link._scaled, apex)
     edges = [e for e in link.edges() if {*e} != {gl, gm}]
-    return _obstruction(pts, edges, (pts[gl - 1], pts[-1], pts[gm - 1]),
-                        (gl, gm))
+    return _obstruction(pts, edges, (pts[gl - 1], q, pts[gm - 1]), (gl, gm))
 
 
 def deform_add_vertex(link: PolygonalLink, ci: int, pos: int,
                       point: Vec3) -> PolygonalLink:
-    """Insert ``point`` between local positions pos and pos+1 of component ci.
+    """Insert ``point`` between local positions pos and pos+1 of component ci
+    of the valid ``link``.
 
     The spanned triangle must meet the link exactly in the replaced segment.
+    Once it does, a new edge meets no other edge and the point repeats no
+    vertex, so of ``validate_link`` on the new link only the new triples at
+    l and m can fail; they are checked, in its order and words.
     """
     lo, hi = link.component_range(ci)
     gl = lo + pos
@@ -478,32 +467,41 @@ def deform_add_vertex(link: PolygonalLink, ci: int, pos: int,
         raise DeformationError(
             f"triangle ({gl},{gm},new) obstructed by edge {bad}")
     new = link.with_vertex_inserted(ci, pos, point)
-    problems = validate_link(new)
+    problems = _collinear_triples(new, new._scaled[0],
+                                  sorted((gl, gm + (gm > gl))))
     if problems:
         raise DeformationError(f"insertion breaks link validity: {problems[0]}")
     return new
 
 
 def deform_remove_vertex(link: PolygonalLink, gp: int) -> PolygonalLink:
-    """Remove global vertex gp; the freed triangle must be clear."""
+    """Remove global vertex gp of the valid ``link``; the freed triangle must
+    be clear.
+
+    Of ``validate_link`` on the new link only the new edge l-m and its two
+    triples can fail; they are checked, in its order and words, on the
+    link's own ints.
+    """
     ci = link.component_of(gp)
     if len(link.components[ci]) <= 3:
         raise DeformationError("cannot shrink a component below 3 vertices")
     gl, gm = link.predecessor(gp), link.successor(gp)
-    apex = link.vertex(gp)
     new = link.with_vertex_removed(gp)
-    problems = validate_link(new)
+    pts = link._scaled[0]
+    kept = pts[:gp - 1] + pts[gp:]
+    # l and m in the renumbered link
+    ngl, ngm = gl - (gl > gp), gm - (gm > gp)
+    problems = _collinear_triples(new, kept, sorted((ngl, ngm)))
+    # an edge before l-m comes first in its pair
+    problems += filter(None, (_pair_violation(kept, *sorted((e, (ngl, ngm))))
+                              for e in new.edges() if e != (ngl, ngm)))
     if problems:
         raise DeformationError(f"removal breaks link validity: {problems[0]}")
-    # relocate l, m in the renumbered link
-    ngl = gl if gl < gp else gl - 1
-    ngm = gm if gm < gp else gm - 1
-    bad = triangle_obstruction(new, ngl, ngm, apex)
+    bad = _obstruction(pts, [e for e in link.edges() if gp not in e],
+                       (pts[gl - 1], pts[gp - 1], pts[gm - 1]), (gl, gm))
     if bad is not None:
-        # report in original numbering
-        orig = tuple(x if x < gp else x + 1 for x in bad)
         raise DeformationError(
-            f"triangle ({gl},{gp},{gm}) obstructed by edge {orig}")
+            f"triangle ({gl},{gp},{gm}) obstructed by edge {bad}")
     return new
 
 
@@ -542,22 +540,6 @@ def _good_projection(link: PolygonalLink, direction: Vec3,
         proj = _insert_refinement_vertex(proj, _pick_refinement_target(proj),
                                          bad)
     raise GeometryError("refinement did not converge")
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly between lo and hi.
-
-    Keeping subdivision parameters simple stops coordinate denominators from
-    compounding across refinement rounds.
-    """
-    fl = lo.numerator // lo.denominator
-    if lo < fl + 1 < hi:
-        return Fraction(fl + 1)
-    lo2, hi2 = lo - fl, hi - fl
-    if lo2 == 0:
-        n = (Fraction(1) / hi2).numerator // (Fraction(1) / hi2).denominator + 1
-        return fl + Fraction(1, n)
-    return fl + 1 / _simplest_between(1 / hi2, 1 / lo2)
 
 
 def _pick_refinement_target(proj: Projection):
@@ -619,11 +601,7 @@ def _insert_refinement_vertex(proj: Projection, target,
     push = scale3(push, Fraction(1, m))  # max-norm 1, still rational
     check = _new_crossings(proj, gl, gm)
     # the new vertex is gl + 1, and every later index moves up by one
-    kept = [RawCrossing(*[tuple([g + (g > gl) for g in e])
-                          for e in (cr.over_edge, cr.under_edge)],
-                        cr.point, cr.t_over, cr.t_under)
-            for cr in proj.crossings
-            if (gl, gm) not in (cr.over_edge, cr.under_edge)]
+    kept = _renumbered_crossings(proj.crossings, ((gl, gm),), gl, 1)
     kept_edges = [e for cr in kept for e in (cr.over_edge, cr.under_edge)]
     scale = Fraction(1, 4)
     rounded = False
@@ -674,11 +652,7 @@ def _new_crossings(proj: Projection, gl: int, gm: int):
     others = [(a + (a > gl), b + (b > gl)) for a, b in link.edges() if a != gl]
 
     def check(cand: Vec3):
-        g = 1
-        for x in cand:
-            g = lcm(g, x.denominator // gcd(x.denominator, m))
-        new = tuple([x.numerator * (m * g // x.denominator) for x in cand])
-        pts = [(x * g, y * g, z * g) for x, y, z in pts0]
+        pts, new, g = _integral_with(pts0, m, cand)
         pts.insert(gl, new)
         a, b = pts[gl - 1], pts[gm - 1]
         if (collinear3(a, new, b) or pts.count(new) > 1
@@ -691,20 +665,42 @@ def _new_crossings(proj: Projection, gl: int, gm: int):
         img.insert(gl, q)
         if img.count(q) > 1:
             return None
-        hits, params = [], set()
+        hits = []
         for e1, edges in (((gl, n), others + [(n, gm)]), ((n, gm), others)):
-            for e2, *hit in _meetings(e1, img[e1[0] - 1], img[e1[1] - 1],
-                                      edges, img):
-                if len(hit) == 1:
-                    return None
-                t, s, den = hit
-                k = gcd(t, den)
-                if (e1, t // k, den // k) in params:
-                    return None
-                params.add((e1, t // k, den // k))
-                hits.append((e1, e2, t, s, den))
+            found = _crossings_along(e1, edges, img)
+            if found is None:
+                return None
+            hits += found
         return pts, img, m * g, hits
     return check
+
+
+def _crossings_along(e1, edges, img):
+    """The crossings of the image of the new edge e1 with those of
+    ``edges``, given ``img``, the vertex images as ints, as (e1, e2, t, s,
+    den) in ``_meetings``' order; None at a witness of ``_meetings``, or
+    where two share a parameter along e1: a triple point."""
+    hits, params = [], set()
+    for e2, *hit in _meetings(e1, img[e1[0] - 1], img[e1[1] - 1], edges, img):
+        if len(hit) == 1:
+            return None
+        t, s, den = hit
+        k = gcd(t, den)
+        if (t // k, den // k) in params:
+            return None
+        params.add((t // k, den // k))
+        hits.append((e1, e2, t, s, den))
+    return hits
+
+
+def _renumbered_crossings(crossings, gone, g0: int, step: int):
+    """The ``crossings`` on none of the edges ``gone``, with every vertex
+    index above g0 moved by ``step``."""
+    return [RawCrossing(*[tuple([g + step * (g > g0) for g in e])
+                          for e in (cr.over_edge, cr.under_edge)],
+                        cr.point, cr.t_over, cr.t_under, cr.sign)
+            for cr in crossings
+            if cr.over_edge not in gone and cr.under_edge not in gone]
 
 
 def _inserted(proj, gl, cand, kept, pts, img, scale, hits) -> Projection:

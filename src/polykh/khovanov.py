@@ -347,8 +347,11 @@ def build_complex(cube: Cube) -> KhovanovComplex:
 def _assemble(cube: Cube) -> KhovanovComplex:
     kp, km = cube.diagram.k_plus, cube.diagram.k_minus
     # each vertex's circles as a dict circle -> index, in circle order, a
-    # circle as the bit mask of its members
-    circles = {word: {sum(map((1).__lshift__, g.cycle)): ix
+    # circle as the bit mask of its members (never 0), made once for each
+    # DihedralFactor: the cube holds one per distinct circle
+    masks: dict = {}
+    circles = {word: {masks.get(g) or masks.setdefault(
+                          g, sum(map((1).__lshift__, g.cycle))): ix
                       for ix, g in enumerate(vx.groups)}
                for word, vx in cube.vertices.items()}
 

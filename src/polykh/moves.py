@@ -17,12 +17,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
-                      build_good_diagram, crossing_sign)
+                      build_good_diagram, crossing_sign,
+                      diagram_from_projection)
 from .cube import (Cube, _crossing_arcs, _full_smoothing, _made_cube,
                    _right_swap, _reversed_cycles)
-from .exact import _integral, orient2, seg2_intersection
-from .geometry import (PolygonalLink, DeformationError, deform_remove_vertex,
-                       _meetings)
+from .exact import _integral, dot3, orient2, seg2_intersection
+from .geometry import (PolygonalLink, Projection, DeformationError,
+                       chart_basis, deform_remove_vertex, project_link,
+                       _crossings_along, _meetings, _raw_crossing,
+                       _renumbered_crossings)
 
 
 class MoveError(ValueError):
@@ -419,17 +422,23 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
 def apply_move(link: PolygonalLink, direction, p: int):
     """Remove vertex p from the link, classify the move, and rebuild.
 
-    Returns (move, deformed link, deformed diagram).  The change in crossing
-    count is checked against the classified case.
+    Returns (move, deformed link, deformed diagram).  The link is projected
+    once; the deformed projection is made from that one by
+    ``_deformed_projection``, and the whole deformed link is projected only
+    to word the error when it is not regular.  The change in crossing count
+    is checked against the classified case.
     """
-    diagram = build_good_diagram(link, direction)
+    proj = project_link(link, direction)
+    diagram = diagram_from_projection(proj)
     move, link2 = _classify_removal(diagram, p, link)
     if move.tag == "RIII":
         raise MoveError(
             "a Reidemeister III pattern cannot be realised by a single "
             "vertex removal; move the strands and rebuild instead")
+    proj2 = _deformed_projection(proj, link2, p)
     try:
-        diagram2 = build_good_diagram(link2, direction)
+        diagram2 = (build_good_diagram(link2, direction) if proj2 is None
+                    else diagram_from_projection(proj2))
     except DiagramError as exc:
         raise MoveError(f"deformed diagram is not good: {exc}") from exc
     delta = diagram2.k - diagram.k
@@ -440,3 +449,37 @@ def apply_move(link: PolygonalLink, direction, p: int):
             f"case {move.tag} should change the crossing count by "
             f"{expected}, observed {delta}")
     return move, link2, diagram2
+
+
+def _deformed_projection(proj: Projection, link2: PolygonalLink,
+                         p: int) -> Optional[Projection]:
+    """The projection of ``link2``, the link of the regular projection
+    ``proj`` with vertex p removed, along the same direction; None if it is
+    not regular.
+
+    It equals what ``project_link`` gives on ``link2``, made as refinement
+    makes an insertion's.  Only the new edge l-m is new, so of the checks
+    of the whole projection only ``_crossings_along`` l-m is left.  The
+    crossings off the removed edges l-p and p-m are kept, renumbered, and
+    merged with those of l-m in the projection's edge-pair order.  Every
+    point of ``link2`` is one of the old link's, so its ints serve.
+    """
+    link = proj.link
+    l, m = link.predecessor(p), link.successor(p)
+    kept = _renumbered_crossings(proj.crossings, ((l, p), (p, m)), p, -1)
+    pts, scale = link._scaled
+    (d,), c = _integral((proj.direction,))
+    u, v = chart_basis(d)
+    pts = pts[:p - 1] + pts[p:]
+    img = [(dot3(u, q), dot3(v, q)) for q in pts]
+    new = (l - (l > p), m - (m > p))
+    hits = _crossings_along(new, [e for e in link2.edges() if e != new], img)
+    if hits is None:
+        return None
+    depth = [dot3(d, q) for q in pts]
+    crossings = sorted(
+        kept + [_raw_crossing(*hit, img, depth, scale * c) for hit in hits],
+        key=lambda cr: sorted((cr.over_edge, cr.under_edge)))
+    return Projection(link2, proj.direction, proj.chart,
+                      proj.points2d[:p - 1] + proj.points2d[p:],
+                      tuple(crossings))

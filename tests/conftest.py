@@ -13,12 +13,14 @@ from polykh import (PolygonalLink, LinkFileError, validate_link, load_fixture,
                     build_good_diagram, build_cube)
 from polykh import randlinks
 from polykh import geometry
-from polykh.exact import add3, cross3, orient2, scale3, seg2_intersection, sub3
+from polykh.exact import (_integral, add3, collinear3, cross3, orient2,
+                          scale3, seg2_intersection, sub3)
 from polykh.geometry import (GeometryError, DeformationError,
                              find_regular_direction, project_link,
                              refine_to_good)
+from polykh.diagram import DiagramError
 from polykh.moves import (MoveError, TriangleMove, _crossing_on,
-                          _other_end, _partner_edge)
+                          _other_end, _partner_edge, classify_triangle_move)
 from polykh.perm import DihedralFactor, PermError, Permutation
 
 settings.register_profile("deterministic", derandomize=True)
@@ -292,14 +294,15 @@ def random_refinement(rng: random.Random, k_max: int = 6):
 def reference_insertion(proj, target, cand):
     """The projection of ``proj.link`` with ``cand`` inserted on the target
     edge, or None: ``deform_add_vertex`` checks the triangle and then
-    validates the whole new link, which is then projected whole, and None
+    validates the whole new link (``reference_add_vertex``), which is then
+    projected whole, and None
     means that either refused it.  The reference for the O(E) candidate
     check of ``refine_to_good``."""
     link = proj.link
     ga = target[0][0]
     ci = link.component_of(ga)
     try:
-        new_link = geometry.deform_add_vertex(
+        new_link = reference_add_vertex(
             link, ci, ga - link.component_range(ci)[0], cand)
     except DeformationError:
         return None
@@ -342,6 +345,107 @@ def refine_reference(link, direction):
         proj = reference_step(proj, geometry._pick_refinement_target(proj),
                               bad)
     return proj
+
+
+# ---------------------------------------------------------------------------
+# triangle deformations with the whole new link validated: the references
+# that the local checks of ``deform_add_vertex``, ``deform_remove_vertex``
+# and ``apply_move`` are checked against
+
+
+def reference_obstruction(link, gl, gm, apex):
+    """``triangle_obstruction`` with the link and the apex scaled to ints
+    together, afresh."""
+    pts, _ = _integral(link.all_vertices() + [apex])
+    edges = [e for e in link.edges() if {*e} != {gl, gm}]
+    return geometry._obstruction(pts, edges,
+                                 (pts[gl - 1], pts[-1], pts[gm - 1]), (gl, gm))
+
+
+def reference_add_vertex(link, ci, pos, point):
+    """``deform_add_vertex`` by ``validate_link`` on the whole new link."""
+    lo, _ = link.component_range(ci)
+    gl = lo + pos
+    gm = link.successor(gl)
+    if collinear3(link.vertex(gl), point, link.vertex(gm)):
+        raise DeformationError(
+            f"apex {point} lies on the line of edge ({gl},{gm})")
+    bad = reference_obstruction(link, gl, gm, point)
+    if bad is not None:
+        raise DeformationError(
+            f"triangle ({gl},{gm},new) obstructed by edge {bad}")
+    new = link.with_vertex_inserted(ci, pos, point)
+    problems = validate_link(new)
+    if problems:
+        raise DeformationError(f"insertion breaks link validity: {problems[0]}")
+    return new
+
+
+def reference_remove_vertex(link, gp):
+    """``deform_remove_vertex`` by ``validate_link`` on the whole new link,
+    and the triangle checked against the new link."""
+    ci = link.component_of(gp)
+    if len(link.components[ci]) <= 3:
+        raise DeformationError("cannot shrink a component below 3 vertices")
+    gl, gm = link.predecessor(gp), link.successor(gp)
+    new = link.with_vertex_removed(gp)
+    problems = validate_link(new)
+    if problems:
+        raise DeformationError(f"removal breaks link validity: {problems[0]}")
+    bad = reference_obstruction(new, gl - (gl > gp), gm - (gm > gp),
+                                link.vertex(gp))
+    if bad is not None:
+        orig = tuple(x if x < gp else x + 1 for x in bad)
+        raise DeformationError(
+            f"triangle ({gl},{gp},{gm}) obstructed by edge {orig}")
+    return new
+
+
+def reference_apply_move(link, direction, p):
+    """``apply_move`` with both links projected whole and the removed link
+    validated whole; the classification is the package's, whose 3D check
+    ``deform_remove_vertex`` is checked against its own reference."""
+    diagram = build_good_diagram(link, direction)
+    move = classify_triangle_move(diagram, p, link=link)
+    if move.tag == "RIII":
+        raise MoveError("a Reidemeister III pattern cannot be realised by a "
+                        "single vertex removal; move the strands and rebuild "
+                        "instead")
+    link2 = reference_remove_vertex(link, p)
+    try:
+        diagram2 = build_good_diagram(link2, direction)
+    except DiagramError as exc:
+        raise MoveError(f"deformed diagram is not good: {exc}") from exc
+    return move, link2, diagram2
+
+
+def outcome_of(f, *args):
+    """What ``f(*args)`` returns, or the type and words of the GeometryError,
+    DiagramError or MoveError that it raises."""
+    try:
+        return f(*args)
+    except (GeometryError, DiagramError, MoveError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def seeded_apexes(link, rng, count):
+    """(ci, pos, apex) of ``count`` seeded insertions on ``link``, drawn as
+    the benchmark's round trips draw them, each followed by apexes that
+    line up with the edge before l or after m: a collinear new triple."""
+    for _ in range(count):
+        gl = rng.randrange(1, link.n + 1)
+        ci = link.component_of(gl)
+        pos = gl - link.component_range(ci)[0]
+        gm = link.successor(gl)
+        a, b = link.vertex(gl), link.vertex(gm)
+        lam = F(rng.randrange(1, 8), 8)
+        off = [F(rng.randrange(-4, 5), 16) for _ in range(3)]
+        yield ci, pos, tuple(a[x] + lam * (b[x] - a[x]) + off[x]
+                             for x in range(3))
+        t = F(1, rng.choice((2, 4, 8)))
+        for q, r in ((a, link.vertex(link.predecessor(gl))),
+                     (b, link.vertex(link.successor(gm)))):
+            yield ci, pos, add3(q, scale3(sub3(q, r), t))
 
 
 # ---------------------------------------------------------------------------

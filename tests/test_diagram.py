@@ -76,12 +76,19 @@ class TestSignOracle:
                              (F(0), F(1)), (F(0), F(-1))) == -1
 
     def test_recorded_signs_match_determinant(self, whitehead_diagram):
-        d = whitehead_diagram
-        for cr in d.crossings:
-            over = sub2(d.vertex(cr.j), d.vertex(cr.i))
-            under = sub2(d.vertex(cr.w), d.vertex(cr.v))
-            expect = 1 if cross2(over, under) > 0 else -1
-            assert cr.sign == expect
+        # the signs decided on the projection's int images, against the
+        # determinant on the Fraction vertex images
+        diagrams = [whitehead_diagram] + [
+            good_diagram_auto(load_fixture(name))[0]
+            for name in ("trefoil9", "kink5", "riii", "twist12")]
+        diagrams += [random_diagram(random.Random(seed))[0]
+                     for seed in range(10)]
+        for d in diagrams:
+            for cr in d.crossings:
+                over = sub2(d.vertex(cr.j), d.vertex(cr.i))
+                under = sub2(d.vertex(cr.w), d.vertex(cr.v))
+                expect = 1 if cross2(over, under) > 0 else -1
+                assert cr.sign == expect
 
 
 class TestStructure:

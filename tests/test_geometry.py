@@ -6,6 +6,7 @@ import random
 
 import inspect
 import itertools
+import re
 import sys
 import types
 
@@ -23,10 +24,14 @@ from polykh.geometry import (GeometryError, DeformationError,
                              triangle_obstruction, deform_add_vertex,
                              deform_remove_vertex, DENOMINATOR_BITS, _capped)
 from polykh import geometry, load_fixture, build_good_diagram
+from polykh.diagram import crossing_sign
 
-from conftest import (DIR_Z, point_in_triangle2, point_on_seg2, random_link,
-                      random_refinement, reference_insertion, reference_step,
-                      refinement_candidates, refine_reference)
+from conftest import (DIR_Z, outcome_of, point_in_triangle2, point_on_seg2,
+                      random_diagram, random_link, random_refinement,
+                      reference_add_vertex, reference_insertion,
+                      reference_obstruction, reference_remove_vertex,
+                      reference_step, refinement_candidates, refine_reference,
+                      seeded_apexes)
 
 frac = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 pt2 = st.tuples(frac, frac)
@@ -320,6 +325,11 @@ class TestIntegerKernel:
             proj = project_link(link, direction)
             assert [(c.over_edge, c.under_edge, c.point, c.t_over, c.t_under)
                     for c in proj.crossings] == crossings
+            # the sign decided on the int images, against the Fractions
+            assert [c.sign for c in proj.crossings] == [
+                crossing_sign(*[proj.points2d[g - 1]
+                                for g in c.over_edge + c.under_edge])
+                for c in proj.crossings]
             u, v = chart_basis(direction)
             assert proj.chart == (u, v)
             assert proj.points2d == tuple((dot3(u, p), dot3(v, p))
@@ -572,14 +582,15 @@ class TestRefinementCheck:
         # the triangle is never checked
         ("or _obstruction(pts, others,", "or None and _obstruction(pts, others,"),
         # the old crossings keep their old edge numbers
-        ("kept = [RawCrossing(*[tuple([g + (g > gl) for g in e])",
-         "kept = [RawCrossing(*[tuple([g for g in e])"),
+        ("return [RawCrossing(*[tuple([g + step * (g > g0) for g in e])",
+         "return [RawCrossing(*[tuple([g for g in e])"),
     ], ids=["image_on_edge", "triangle", "renumbering"])
     def test_mutant_caught(self, monkeypatch, candidates, reference_steps,
                            old, new):
         source = inspect.getsource(geometry)
         assert source.count(old) == 1
         mutant = types.ModuleType("polykh.geometry_mutant")
+        mutant.__package__ = "polykh"
         monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
         exec(compile(source.replace(old, new), mutant.__name__, "exec"),
              mutant.__dict__)
@@ -645,3 +656,135 @@ class TestDeformation:
         assert validate_link(link) == []
         bad = triangle_obstruction(link, 1, 2, (F(2), F(2), F(0)))
         assert bad is not None and 5 in bad and 6 in bad
+
+
+FIXTURES = ("square", "two_squares", "trefoil9", "whitehead12", "kink5",
+            "riii", "twist12")
+PENT = [(0, 0, 0), (2, 2, 0), (4, 0, 0), (4, -3, 0), (0, -3, 0)]
+# removals of vertex 2 that break validity only through the new edge 1-3
+# or its triples: the new edge lines up with the edge after it (at m) or
+# before it (at l), is pierced by another strand, or overlaps another edge
+BROKEN_BY_REMOVAL = {
+    "triple_at_m": [[(0, 0, 0), (1, 1, 0), (2, 0, 0), (3, 0, 0), (3, -2, 0),
+                     (0, -2, 0)]],
+    "triple_at_l": [[(1, 0, 0), (2, 1, 0), (3, 0, 0), (3, -2, 0), (0, -2, 0),
+                     (0, 0, 0)]],
+    "pierced": [PENT, [(2, 0, -1), (2, 0, 1), (6, 5, 1), (6, 5, -1)]],
+    "overlap": [PENT, [(1, 0, 0), (3, 0, 0), (2, 1, 2)]],
+}
+
+
+@pytest.fixture(scope="module")
+def deformation_links():
+    """The fixtures, the refined links of random_diagram seeds 0-5 (made as
+    the benchmark's cube-moves items are), six raw random links (as its
+    corpus links are) and the links of BROKEN_BY_REMOVAL."""
+    links = [load_fixture(name) for name in FIXTURES]
+    links += [random_diagram(random.Random(seed))[1] for seed in range(6)]
+    links += [random_link(random.Random(seed)) for seed in range(100, 106)]
+    links += [PolygonalLink.from_lists(comps)
+              for comps in BROKEN_BY_REMOVAL.values()]
+    assert all(validate_link(link) == [] for link in links)
+    return links
+
+
+def deformations(links):
+    """(function name, args) of seeded insertions on ``links`` and of the
+    removals of every vertex of them, and of the inserted vertex and its
+    neighbours after each insertion that holds."""
+    for i, link in enumerate(links):
+        for p in range(1, link.n + 1):
+            yield "deform_remove_vertex", (link, p)
+        for ci, pos, apex in seeded_apexes(link, random.Random(i), 12):
+            yield "deform_add_vertex", (link, ci, pos, apex)
+            bigger = outcome_of(reference_add_vertex, link, ci, pos, apex)
+            if not isinstance(bigger, str):
+                gl = link.component_range(ci)[0] + pos
+                for p in (gl, gl + 1, bigger.successor(gl + 1)):
+                    yield "deform_remove_vertex", (bigger, p)
+
+
+REFERENCES = {"deform_add_vertex": reference_add_vertex,
+              "deform_remove_vertex": reference_remove_vertex}
+
+
+def plain(result):
+    """A deformation's outcome as plain values, to compare across module
+    copies: the new link's components, or the error's words."""
+    return result if isinstance(result, str) else result.components
+
+
+@pytest.fixture(scope="module")
+def deformation_cases(deformation_links):
+    """Each deformation with the outcome of its reference, which validates
+    the whole new link."""
+    return [(name, args, plain(outcome_of(REFERENCES[name], *args)))
+            for name, args in deformations(deformation_links)]
+
+
+def deformation_mismatches(module, cases) -> int:
+    return sum(plain(outcome_of(getattr(module, name), *args)) != expected
+               for name, args, expected in cases)
+
+
+class TestLocalDeformation:
+    """The deformations' local checks against the whole new link validated
+    by ``validate_link``."""
+
+    def test_matches_reference(self, deformation_cases):
+        assert deformation_mismatches(geometry, deformation_cases) == 0
+        kinds = Counter((name, re.sub(r"[-\d]+", "N", out)
+                         if isinstance(out, str) else "ok")
+                        for name, _args, out in deformation_cases)
+        assert len(deformation_cases) > 1500
+        for name in REFERENCES:
+            assert kinds[name, "ok"] > 100
+        broken = {k for k in kinds if "breaks link validity" in k[1]}
+        assert {k[1].split(": ", 2)[-1] for k in broken} >= {
+            "collinear consecutive points (N,N,N)",
+            "edges (N,N) and (N,N) intersect away from a common endpoint",
+            "edges (N,N) and (N,N) overlap in a segment"}
+        assert {k[0] for k in broken} == set(REFERENCES)
+
+    @pytest.mark.parametrize("name", BROKEN_BY_REMOVAL)
+    def test_broken_removal_named(self, name):
+        link = PolygonalLink.from_lists(BROKEN_BY_REMOVAL[name])
+        expected = outcome_of(reference_remove_vertex, link, 2)
+        assert "removal breaks link validity" in expected
+        assert outcome_of(deform_remove_vertex, link, 2) == expected
+
+    def test_triangle_obstruction_matches_reference(self, deformation_cases):
+        checked = 0
+        for name, args, _expected in deformation_cases:
+            if name != "deform_add_vertex":
+                continue
+            link, ci, pos, apex = args
+            gl = link.component_range(ci)[0] + pos
+            gm = link.successor(gl)
+            if geometry.collinear3(link.vertex(gl), apex, link.vertex(gm)):
+                continue
+            checked += 1
+            assert (triangle_obstruction(link, gl, gm, apex)
+                    == reference_obstruction(link, gl, gm, apex))
+        assert checked > 500
+
+    @pytest.mark.parametrize("old, new", [
+        # an edge that shares an endpoint with the new edge meets it there
+        ("if (t == 0 and i1 in e2) or (t == den and j1 in e2):",
+         "if False:"),
+        # only the triple at l is checked after a removal
+        ("_collinear_triples(new, kept, sorted((ngl, ngm)))",
+         "_collinear_triples(new, kept, (ngl,))"),
+        # only the triple at l is checked after an insertion
+        ("sorted((gl, gm + (gm > gl)))", "(gl,)"),
+    ], ids=["shared_endpoint", "removal_triple_at_m",
+            "insertion_triple_at_m"])
+    def test_mutant_caught(self, monkeypatch, deformation_cases, old, new):
+        source = inspect.getsource(geometry)
+        assert source.count(old) == 1
+        mutant = types.ModuleType("polykh.geometry_mutant")
+        mutant.__package__ = "polykh"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(old, new), mutant.__name__, "exec"),
+             mutant.__dict__)
+        assert deformation_mismatches(mutant, deformation_cases) > 0

@@ -24,8 +24,9 @@ from polykh import load_fixture
 
 from conftest import (DIR_Z, classify_reference, compose, cycle_containing,
                       cycle_partition, from_cycles, miscounted,
-                      miscount_message, random_diagram, reference_edges,
-                      transposition)
+                      miscount_message, outcome_of, random_diagram,
+                      reference_add_vertex, reference_apply_move,
+                      reference_edges, seeded_apexes, transposition)
 
 
 def renumbered(perm, p):
@@ -296,6 +297,7 @@ class TestClassifierReference:
         source = inspect.getsource(module)
         assert source.count(old) == 1
         mutant = types.ModuleType(module.__name__ + "_mutant")
+        mutant.__package__ = "polykh"
         monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
         exec(compile(source.replace(old, new), mutant.__name__, "exec"),
              mutant.__dict__)
@@ -584,3 +586,131 @@ class TestApplyMove:
             assert move.tag == tag
             assert diagram2.k - before.k == delta
             assert homology_of(link) == homology_of(link2)
+
+
+HALF = F(1, 2)
+# removing vertex 2 of PENT makes the new edge 1-3 pass through the crossing
+# of the first edges of the other two components: a triple point
+TRIPLE = [PENT,
+          [(3 * HALF, -HALF, 1), (5 * HALF, HALF, 1), (6, HALF, 1),
+           (6, -5, 1), (3 * HALF, -5, 1)],
+          [(3 * HALF, HALF, 2), (5 * HALF, -HALF, 2), (5 * HALF, -6, 2),
+           (-1, -6, 2), (-1, HALF, 2)]]
+# the new edge 1-3 would meet the second component's first edge in 3D
+PIERCED = [PENT, [(2, -1, -1), (2, 1, 1), (6, 5, 1), (7, -4, -1)]]
+# the image of the new edge 1-3 would overlap that of the second
+# component's first edge, above it; ``_project`` finds that edge's first
+# vertex on the new edge first
+SHADOWED = [PENT, [(1, 0, 1), (3, 0, 1), (2, 1, 2)]]
+
+
+@pytest.fixture(scope="module")
+def move_sources():
+    """(link, direction) with a good diagram: the links of the named cases
+    in this module, TRIPLE refined, and the refined links of random_diagram
+    seeds 0-7; then, after each, the links of up to three seeded insertions
+    on it that keep the diagram good."""
+    riii = TestThirdReidemeister
+    links = [c1_links()[1], load_fixture("kink5")]
+    links += [two_component(second) for second in (C4_SECOND, C5_SECOND,
+                                                   CC_SECOND)]
+    links += [PolygonalLink.from_lists(comps) for comps in (
+        CA_LINK, CB_LINK, [riii.X, riii.Y, riii.Z], PIERCED, SHADOWED)]
+    sources = [(link, DIR_Z) for link in links]
+    sources.append(good_diagram_auto(PolygonalLink.from_lists(TRIPLE),
+                                     DIR_Z)[1:])
+    sources += [random_diagram(random.Random(seed))[1:] for seed in range(8)]
+    out = []
+    for i, (link, direction) in enumerate(sources):
+        out.append((link, direction))
+        bigger = [outcome_of(reference_add_vertex, link, *args)
+                  for args in seeded_apexes(link, random.Random(i), 8)]
+        bigger = [b for b in bigger if not isinstance(b, str) and not
+                  isinstance(outcome_of(build_good_diagram, b, direction),
+                                 str)]
+        out += [(b, direction) for b in bigger[:3]]
+    return out
+
+
+class TestLocalApplyMove:
+    """``apply_move``, which projects its input once and makes the deformed
+    projection from that one, against projecting both links whole."""
+
+    def test_matches_reference(self, move_sources):
+        tags, errors = Counter(), set()
+        for link, direction in move_sources:
+            for p in range(1, link.n + 1):
+                expected = outcome_of(reference_apply_move, link, direction, p)
+                assert outcome_of(apply_move, link, direction, p) == expected
+                if isinstance(expected, str):
+                    errors.add(re.sub(r"\b\d+\b", "N", expected))
+                else:
+                    tags[expected[0].tag] += 1
+        assert set(tags) == {"C1", "C2", "C3", "C4", "C5", "CA", "CB", "CC"}
+        assert sum(tags.values()) > 100
+        assert ("MoveError: triangle obstructed in 3D: removal breaks link "
+                "validity: edges (N,N) and (N,N) intersect away from a "
+                "common endpoint") in errors
+
+    def test_diagram_is_rebuilt_one(self, move_sources):
+        # every legal removal's diagram is the whole deformed link's
+        for link, direction in move_sources[:12]:
+            for p in range(1, link.n + 1):
+                try:
+                    _move, link2, diagram2 = apply_move(link, direction, p)
+                except MoveError:
+                    continue
+                assert diagram2 == build_good_diagram(link2, direction)
+
+
+def projection_cases(sources):
+    """(projection, link with vertex p removed, p, the witness and the
+    projection that ``_project`` makes of that link) for every vertex p of
+    each source, and of TRIPLE along (0, 0, 1), whose removal leaves a
+    valid link.  Removing vertex 2 of TRIPLE leaves a triple point."""
+    for link, direction in sources + [
+            (PolygonalLink.from_lists(TRIPLE), DIR_Z)]:
+        proj = geometry.project_link(link, direction)
+        for p in range(1, link.n + 1):
+            link2 = link.with_vertex_removed(p)
+            if validate_link(link2) == []:
+                witness, proj2 = geometry._project(link2, direction)
+                yield proj, link2, p, witness, proj2
+
+
+def projection_mismatches(module, cases) -> int:
+    return sum(module._deformed_projection(proj, link2, p) != proj2
+               for proj, link2, p, _witness, proj2 in cases)
+
+
+@pytest.fixture(scope="module")
+def removed_projections(move_sources):
+    return list(projection_cases(move_sources))
+
+
+class TestDeformedProjection:
+    def test_matches_whole_projection(self, removed_projections):
+        assert projection_mismatches(moves, removed_projections) == 0
+        witnesses = Counter(w[0] if w else None
+                            for *_rest, w, _proj2 in removed_projections)
+        assert witnesses[None] > 500
+        assert {"triple_point", "vertex_on_edge"} <= set(witnesses)
+
+    @pytest.mark.parametrize("old, new", [
+        # the kept crossings keep their old edge numbers
+        ("return [RawCrossing(*[tuple([g + step * (g > g0) for g in e])",
+         "return [RawCrossing(*[tuple([g for g in e])"),
+        # two crossings at one point of the new edge go unseen
+        ("if (t // k, den // k) in params:", "if False:"),
+    ], ids=["renumbering", "triple_point"])
+    def test_mutant_caught(self, monkeypatch, removed_projections, old, new):
+        source = inspect.getsource(geometry)
+        assert source.count(old) == 1
+        mutant = types.ModuleType("polykh.geometry_mutant")
+        mutant.__package__ = "polykh"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(old, new), mutant.__name__, "exec"),
+             mutant.__dict__)
+        for name in ("_crossings_along", "_renumbered_crossings"):
+            monkeypatch.setattr(moves, name, getattr(mutant, name))
+        assert projection_mismatches(moves, removed_projections) > 0
