@@ -7,6 +7,10 @@ validation, regularity and projection) and the triangle checks run on the
 link's points scaled once to ints (``_integral``).  Fractions are made only
 on a hit, for its parameters, its point and the values that leave this
 module.
+
+A ``Projection`` holds a link, a direction and its crossings; the vertex
+images follow from the two.  ``_frame`` makes a direction's int images and
+heights, and ``_spliced`` orders the crossings of a local update.
 """
 
 from __future__ import annotations
@@ -263,9 +267,13 @@ class RawCrossing:
 class Projection:
     link: PolygonalLink
     direction: Vec3
-    chart: tuple[Vec3, Vec3]
-    points2d: tuple[Vec2, ...]  # image of global vertex i at index i-1
-    crossings: tuple[RawCrossing, ...]
+    crossings: tuple[RawCrossing, ...]     # in edge-pair order
+
+    @cached_property
+    def points2d(self) -> tuple[Vec2, ...]:
+        """The chart image of global vertex i at index i-1."""
+        img, _, scale = _frame(self.direction, *self.link._scaled)
+        return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in img])
 
 
 def project_link(link: PolygonalLink, direction: Vec3) -> Projection:
@@ -325,11 +333,7 @@ def _project(link: PolygonalLink, direction: Vec3):
     """
     if direction == ZERO3:
         return ("zero_direction", ()), None
-    pts, m = link._scaled
-    (d,), c = _integral((direction,))
-    scale = m * c
-    u, v = chart_basis(d)       # c * chart_basis(direction)
-    img = [(dot3(u, p), dot3(v, p)) for p in pts]   # scale * chart image
+    img, depth, scale = _frame(direction, *link._scaled)
 
     images: dict[tuple, int] = {}
     for gi, q in enumerate(img, start=1):
@@ -347,7 +351,6 @@ def _project(link: PolygonalLink, direction: Vec3):
                     and min(ay, by) <= qy <= max(ay, by)):
                 return ("vertex_on_edge", (gi, (a, b))), None
 
-    depth = [dot3(d, p) for p in pts]      # scale * height
     crossings = []
     double_points: dict[Vec2, tuple] = {}
     for idx1, e1 in enumerate(edges):
@@ -360,9 +363,17 @@ def _project(link: PolygonalLink, direction: Vec3):
                 return ("triple_point", (double_points[cr.point], (e1, e2))), None
             double_points[cr.point] = (e1, e2)
             crossings.append(cr)
-    chart = tuple([tuple([Fraction(x, c) for x in w]) for w in (u, v)])
-    points2d = tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in img])
-    return None, Projection(link, direction, chart, points2d, tuple(crossings))
+    return None, Projection(link, direction, tuple(crossings))
+
+
+def _frame(direction: Vec3, pts, scale: int):
+    """(images, heights, c * scale) of the int points ``pts``, ``scale``
+    times a link's, along ``direction``: ints, c * scale times the chart
+    images and heights, for the least c that makes c * direction integral."""
+    (d,), c = _integral((direction,))
+    u, v = chart_basis(d)
+    return ([(dot3(u, p), dot3(v, p)) for p in pts], [dot3(d, p) for p in pts],
+            scale * c)
 
 
 def _meetings(e1, p, p2, edges, img):
@@ -422,8 +433,6 @@ def find_regular_direction(link: PolygonalLink, seed: int = 0,
         cand = vec3(rng.randint(-bound, bound),
                     rng.randint(-bound, bound),
                     rng.randint(-bound, bound))
-        if cand == ZERO3:
-            continue
         if regularity_witness(link, cand) is None:
             return cand
     raise DirectionSearchError(f"no regular direction in {budget} attempts")
@@ -508,6 +517,8 @@ def deform_remove_vertex(link: PolygonalLink, gp: int) -> PolygonalLink:
 # ---------------------------------------------------------------------------
 # refinement to a good diagram
 
+MAX_REFINEMENT_ROUNDS = 500     # insertions before refinement gives up
+
 
 def _badness(proj: Projection) -> int:
     """The crossings beyond the first on each edge image."""
@@ -515,8 +526,7 @@ def _badness(proj: Projection) -> int:
     return len(edges) - len(set(edges))
 
 
-def refine_to_good(link: PolygonalLink, direction: Vec3,
-                   max_rounds: int = 500) -> PolygonalLink:
+def refine_to_good(link: PolygonalLink, direction: Vec3) -> PolygonalLink:
     """Insert vertices (type-I deformations) until every edge image carries
     at most one crossing.  ``link`` must be valid, as ``load_link`` and the
     deformations leave it.
@@ -526,14 +536,13 @@ def refine_to_good(link: PolygonalLink, direction: Vec3,
     halved until the deformation triangle is verifiably empty and the
     projection stays regular without changing the crossing count.
     """
-    return _good_projection(link, direction, max_rounds).link
+    return _good_projection(link, direction).link
 
 
-def _good_projection(link: PolygonalLink, direction: Vec3,
-                     max_rounds: int = 500) -> Projection:
+def _good_projection(link: PolygonalLink, direction: Vec3) -> Projection:
     """``refine_to_good``, returning the refined link's good projection."""
     proj = project_link(link, direction)
-    for _ in range(max_rounds):
+    for _ in range(MAX_REFINEMENT_ROUNDS):
         bad = _badness(proj)
         if bad == 0:
             return proj
@@ -587,11 +596,12 @@ def _insert_refinement_vertex(proj: Projection, target,
 
     It equals what ``deform_add_vertex`` and ``_project`` give, but neither
     runs per candidate: ``_new_crossings`` checks a candidate in O(E), and
-    the old crossings off the replaced edge, renumbered and merged with the
-    new ones in edge-pair order, are the new projection's.
+    the old crossings off the replaced edge, renumbered and spliced with the
+    new ones, are the new projection's.
     """
     link, direction = proj.link, proj.direction
     (gl, gm), t = target
+    ci = link.component_of(gl)
     pa, pb = link.vertex(gl), link.vertex(gm)
     base = add3(pa, scale3(sub3(pb, pa), t))
     push = cross3(sub3(pb, pa), direction)
@@ -615,7 +625,9 @@ def _insert_refinement_vertex(proj: Projection, target,
                 continue
             edges = kept_edges + [e for hit in found[-1] for e in hit[:2]]
             if len(edges) - len(set(edges)) < old_badness:
-                return _inserted(proj, gl, cand, kept, *found)
+                return _spliced(link.with_vertex_inserted(
+                    ci, gl - link.component_range(ci)[0], cand), direction,
+                    kept, *found)
         scale /= 2
     raise GeometryError(
         f"could not place refinement vertex on edge ({gl},{gm})"
@@ -627,8 +639,8 @@ def _new_crossings(proj: Projection, gl: int, gm: int):
     """A check of the candidate vertices on edge (gl, gm) of the valid link
     of the regular projection ``proj``, numbered gl + 1.  It returns None
     if inserting a candidate leaves the link invalid or its projection not
-    regular, else (the new link's int points, their images, their scale, and
-    the crossings of the new edges as (new edge, other edge, t, s, den)).
+    regular, else (the new link's ``_frame``, and the crossings of the new
+    edges as (new edge, other edge, t, s, den)).
 
     Only the new vertex and its two edges are new, so of the checks that
     ``validate_link`` and ``_project`` run on the whole new link, those
@@ -640,13 +652,10 @@ def _new_crossings(proj: Projection, gl: int, gm: int):
       the other edges only at their common vertex or in crossings interior
       to both (``_meetings``): an image on an edge is a hit at an end.
       Every triple point would lie twice on one new edge, at one parameter.
-    The old link's int points, images and edges are made once.
+    The old link's int points and edges are made once.
     """
     link = proj.link
     pts0, m = link._scaled
-    (d,), _ = _integral((proj.direction,))
-    u, v = chart_basis(d)
-    img0 = [(dot3(u, p), dot3(v, p)) for p in pts0]
     n, gp, gs = gl + 1, link.predecessor(gl), link.successor(gm)
     gm, gp, gs = [g + (g > gl) for g in (gm, gp, gs)]
     others = [(a + (a > gl), b + (b > gl)) for a, b in link.edges() if a != gl]
@@ -660,10 +669,8 @@ def _new_crossings(proj: Projection, gl: int, gm: int):
                 or collinear3(new, b, pts[gs - 1])
                 or _obstruction(pts, others, (a, new, b), (gl, gm))):
             return None
-        q = (dot3(u, new), dot3(v, new))
-        img = [(x * g, y * g) for x, y in img0]
-        img.insert(gl, q)
-        if img.count(q) > 1:
+        img, depth, scale = _frame(proj.direction, pts, m * g)
+        if img.count(img[gl]) > 1:
             return None
         hits = []
         for e1, edges in (((gl, n), others + [(n, gm)]), ((n, gm), others)):
@@ -671,7 +678,7 @@ def _new_crossings(proj: Projection, gl: int, gm: int):
             if found is None:
                 return None
             hits += found
-        return pts, img, m * g, hits
+        return img, depth, scale, hits
     return check
 
 
@@ -703,22 +710,10 @@ def _renumbered_crossings(crossings, gone, g0: int, step: int):
             if cr.over_edge not in gone and cr.under_edge not in gone]
 
 
-def _inserted(proj, gl, cand, kept, pts, img, scale, hits) -> Projection:
-    """The projection of ``proj.link`` with ``cand`` inserted after vertex
-    gl, from the crossings kept from ``proj`` and what ``_new_crossings``
-    returned for ``cand``: the crossings come in ``_project``'s order."""
-    link, direction = proj.link, proj.direction
-    (d,), c = _integral((direction,))
-    scale *= c
-    depth = [dot3(d, p) for p in pts]
-    crossings = sorted(
-        kept + [_raw_crossing(*hit, img, depth, scale) for hit in hits],
-        key=lambda cr: sorted((cr.over_edge, cr.under_edge)))
-    points2d = list(proj.points2d)
-    points2d.insert(gl, (Fraction(img[gl][0], scale),
-                         Fraction(img[gl][1], scale)))
-    ci = link.component_of(gl)
-    new_link = link.with_vertex_inserted(
-        ci, gl - link.component_range(ci)[0], cand)
-    return Projection(new_link, direction, proj.chart, tuple(points2d),
-                      tuple(crossings))
+def _spliced(link, direction, kept, img, depth, scale, hits) -> Projection:
+    """The projection of ``link`` along ``direction`` with the crossings
+    ``kept`` from an older one and those of ``hits``, (e1, e2, t, s, den)
+    on ``_frame``'s images and heights, in ``_project``'s order."""
+    crossings = kept + [_raw_crossing(*hit, img, depth, scale) for hit in hits]
+    return Projection(link, direction, tuple(sorted(
+        crossings, key=lambda cr: sorted((cr.over_edge, cr.under_edge)))))

@@ -86,18 +86,6 @@ class LaurentPoly:
         self.coeffs = {e: c for e, c in dict(coeffs or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, e: int, c: int = 1):
-        return cls({e: c})
-
-    @classmethod
     def circle(cls):
         """q + q^-1, the value of one unknotted circle."""
         return cls({1: 1, -1: 1})
@@ -105,37 +93,8 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def shifted(self, by: int) -> "LaurentPoly":
-        return LaurentPoly({e + by: c for e, c in self.coeffs.items()})
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient; raises if the division leaves a remainder."""
@@ -144,11 +103,13 @@ class LaurentPoly:
         rem = dict(self.coeffs)
         d_top = max(divisor.coeffs)
         d_c = divisor.coeffs[d_top]
+        # the least exponent of an exact quotient
+        low = min(rem, default=0) - min(divisor.coeffs)
         out: dict[int, int] = {}
         while rem:
             top = max(rem)
             c = rem[top]
-            if c % d_c != 0:
+            if c % d_c != 0 or top - d_top < low:
                 raise KhovanovError("non-exact Laurent division")
             q_e, q_c = top - d_top, c // d_c
             out[q_e] = out.get(q_e, 0) + q_c
@@ -311,8 +272,6 @@ class Differential(Mapping):
 
 @dataclass
 class KhovanovComplex:
-    k_plus: int
-    k_minus: int
     basis: dict[int, DegreeBasis]                   # i -> ordered basis
     j_grading: dict[int, Gradings]                  # i -> j per basis element
     differentials: dict[int, Differential]          # i -> {(row, col): c}
@@ -387,8 +346,8 @@ def _assemble(cube: Cube) -> KhovanovComplex:
     diffs = {i: Differential(
         degree, [tuple(sorted(out_edges[w])) for w in degree.words], tables)
         for i, degree in basis.items()}
-    return KhovanovComplex(kp, km, basis,
-                           {i: Gradings(b) for i, b in basis.items()}, diffs)
+    return KhovanovComplex(basis, {i: Gradings(b) for i, b in basis.items()},
+                           diffs)
 
 
 def _match(two, one):
@@ -639,10 +598,10 @@ def khovanov_homology(cube: Cube) -> dict[tuple[int, int], int]:
 
 
 def euler_characteristic(table: dict[tuple[int, int], int]) -> LaurentPoly:
-    out = LaurentPoly.zero()
+    coeffs: Counter = Counter()
     for (i, j), dim in table.items():
-        out = out + LaurentPoly.monomial(j, (-1) ** i * dim)
-    return out
+        coeffs[j] += (-1) ** i * dim
+    return LaurentPoly(coeffs)
 
 
 def homology_tsv(table: dict[tuple[int, int], int]) -> str:

@@ -21,11 +21,10 @@ from .diagram import (GoodDiagram, CrossingRecord, DiagramError,
                       diagram_from_projection)
 from .cube import (Cube, _crossing_arcs, _full_smoothing, _made_cube,
                    _right_swap, _reversed_cycles)
-from .exact import _integral, dot3, orient2, seg2_intersection
+from .exact import _integral, orient2, seg2_intersection
 from .geometry import (PolygonalLink, Projection, DeformationError,
-                       chart_basis, deform_remove_vertex, project_link,
-                       _crossings_along, _meetings, _raw_crossing,
-                       _renumbered_crossings)
+                       deform_remove_vertex, project_link, _crossings_along,
+                       _frame, _meetings, _renumbered_crossings, _spliced)
 
 
 class MoveError(ValueError):
@@ -461,25 +460,16 @@ def _deformed_projection(proj: Projection, link2: PolygonalLink,
     makes an insertion's.  Only the new edge l-m is new, so of the checks
     of the whole projection only ``_crossings_along`` l-m is left.  The
     crossings off the removed edges l-p and p-m are kept, renumbered, and
-    merged with those of l-m in the projection's edge-pair order.  Every
-    point of ``link2`` is one of the old link's, so its ints serve.
+    spliced with those of l-m.  Every point of ``link2`` is one of the old
+    link's, so its ints serve.
     """
     link = proj.link
     l, m = link.predecessor(p), link.successor(p)
     kept = _renumbered_crossings(proj.crossings, ((l, p), (p, m)), p, -1)
     pts, scale = link._scaled
-    (d,), c = _integral((proj.direction,))
-    u, v = chart_basis(d)
-    pts = pts[:p - 1] + pts[p:]
-    img = [(dot3(u, q), dot3(v, q)) for q in pts]
+    img, depth, scale = _frame(proj.direction, pts[:p - 1] + pts[p:], scale)
     new = (l - (l > p), m - (m > p))
     hits = _crossings_along(new, [e for e in link2.edges() if e != new], img)
     if hits is None:
         return None
-    depth = [dot3(d, q) for q in pts]
-    crossings = sorted(
-        kept + [_raw_crossing(*hit, img, depth, scale * c) for hit in hits],
-        key=lambda cr: sorted((cr.over_edge, cr.under_edge)))
-    return Projection(link2, proj.direction, proj.chart,
-                      proj.points2d[:p - 1] + proj.points2d[p:],
-                      tuple(crossings))
+    return _spliced(link2, proj.direction, kept, img, depth, scale, hits)

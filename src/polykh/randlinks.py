@@ -12,19 +12,23 @@ import random
 from .geometry import PolygonalLink, validate_link
 
 
-def random_link(rng: random.Random, max_vertices: int = 16,
-                max_components: int = 2, box: int = 6) -> PolygonalLink:
-    """One valid random link with at most ``max_vertices`` vertices total."""
+# at most this many vertices and components, each component's coordinates
+# within BOX of its centre, the centres 2 * BOX apart along x
+MAX_VERTICES, MAX_COMPONENTS, BOX = 16, 2, 6
+
+
+def random_link(rng: random.Random) -> PolygonalLink:
+    """One valid random link with at most MAX_VERTICES vertices total."""
     while True:
-        r = rng.randint(1, max_components)
+        r = rng.randint(1, MAX_COMPONENTS)
         comps = []
         total = 0
         for ci in range(r):
-            m = rng.randint(4, min(7, max_vertices - total - 4 * (r - ci - 1)))
+            m = rng.randint(4, min(7, MAX_VERTICES - total - 4 * (r - ci - 1)))
             total += m
-            comps.append([(rng.randint(-box, box) + 2 * box * ci,
-                           rng.randint(-box, box),
-                           rng.randint(-box, box)) for _ in range(m)])
+            comps.append([(rng.randint(-BOX, BOX) + 2 * BOX * ci,
+                           rng.randint(-BOX, BOX),
+                           rng.randint(-BOX, BOX)) for _ in range(m)])
         link = PolygonalLink.from_lists(comps)
         if not validate_link(link):
             return link

@@ -331,7 +331,6 @@ class TestIntegerKernel:
                                 for g in c.over_edge + c.under_edge])
                 for c in proj.crossings]
             u, v = chart_basis(direction)
-            assert proj.chart == (u, v)
             assert proj.points2d == tuple((dot3(u, p), dot3(v, p))
                                           for p in link.all_vertices())
 
@@ -539,7 +538,8 @@ def reference_steps(refinement_inputs):
 
 
 def fields(proj):
-    """A projection as plain values, to compare across module copies."""
+    """A projection as plain values, to compare across module copies, with
+    the vertex images, which projection equality does not compare."""
     return (proj.link.components, proj.points2d, tuple(
         (cr.over_edge, cr.under_edge, cr.point, cr.t_over, cr.t_under)
         for cr in proj.crossings))
@@ -569,6 +569,8 @@ class TestRefinementCheck:
             expected = refine_reference(link, direction)
             assert refined == expected.link
             assert project_link(refined, direction) == expected
+            got = geometry._good_projection(link, direction)
+            assert fields(got) == fields(expected)
 
     def test_candidates_match_reference(self, candidates, reference_steps):
         assert len(candidates) > 1000 and len(reference_steps) > 60
@@ -584,7 +586,10 @@ class TestRefinementCheck:
         # the old crossings keep their old edge numbers
         ("return [RawCrossing(*[tuple([g + step * (g > g0) for g in e])",
          "return [RawCrossing(*[tuple([g for g in e])"),
-    ], ids=["image_on_edge", "triangle", "renumbering"])
+        # the spliced crossings come in (over edge, under edge) order
+        ("key=lambda cr: sorted((cr.over_edge, cr.under_edge))",
+         "key=lambda cr: (cr.over_edge, cr.under_edge)"),
+    ], ids=["image_on_edge", "triangle", "renumbering", "sort_key"])
     def test_mutant_caught(self, monkeypatch, candidates, reference_steps,
                            old, new):
         source = inspect.getsource(geometry)

@@ -679,8 +679,14 @@ def projection_cases(sources):
 
 
 def projection_mismatches(module, cases) -> int:
-    return sum(module._deformed_projection(proj, link2, p) != proj2
-               for proj, link2, p, _witness, proj2 in cases)
+    """Where ``module``'s deformed projection differs from the whole one, in
+    equality or in the vertex images, which equality does not compare."""
+    count = 0
+    for proj, link2, p, _witness, proj2 in cases:
+        got = module._deformed_projection(proj, link2, p)
+        count += got != proj2 or (
+            got is not None and got.points2d != proj2.points2d)
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -702,7 +708,10 @@ class TestDeformedProjection:
          "return [RawCrossing(*[tuple([g for g in e])"),
         # two crossings at one point of the new edge go unseen
         ("if (t // k, den // k) in params:", "if False:"),
-    ], ids=["renumbering", "triple_point"])
+        # the spliced crossings come in (over edge, under edge) order
+        ("key=lambda cr: sorted((cr.over_edge, cr.under_edge))",
+         "key=lambda cr: (cr.over_edge, cr.under_edge)"),
+    ], ids=["renumbering", "triple_point", "sort_key"])
     def test_mutant_caught(self, monkeypatch, removed_projections, old, new):
         source = inspect.getsource(geometry)
         assert source.count(old) == 1
@@ -711,6 +720,6 @@ class TestDeformedProjection:
         monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
         exec(compile(source.replace(old, new), mutant.__name__, "exec"),
              mutant.__dict__)
-        for name in ("_crossings_along", "_renumbered_crossings"):
+        for name in ("_crossings_along", "_renumbered_crossings", "_spliced"):
             monkeypatch.setattr(moves, name, getattr(mutant, name))
         assert projection_mismatches(moves, removed_projections) > 0
