@@ -23,7 +23,7 @@ from .diagram import DiagramError, GoodDiagram, good_diagram_auto
 from .cube import Cube, CubeError, build_cube
 from .khovanov import (KhovanovError, jones_state_sum, normalized_jones,
                        build_complex, homology, khovanov_homology,
-                       euler_characteristic, homology_tsv, generator_count)
+                       euler_characteristic, homology_tsv)
 from .moves import MoveError, apply_move
 from .perm import PermError
 
@@ -106,9 +106,8 @@ def dump_diagram(diagram: GoodDiagram) -> str:
 
 
 def crossing_table(diagram: GoodDiagram) -> str:
-    rows = [f"{cr.index}\t{cr.i}\t{cr.j}\t{cr.v}\t{cr.w}\t{cr.sign:+d}"
-            for cr in diagram.crossings]
-    return "\n".join(rows) + ("\n" if rows else "")
+    return "".join(f"{cr.index}\t{cr.i}\t{cr.j}\t{cr.v}\t{cr.w}\t"
+                   f"{cr.sign:+d}\n" for cr in diagram.crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +115,7 @@ def crossing_table(diagram: GoodDiagram) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        link = parse_link(Path(args.file).read_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    link = parse_link(Path(args.file).read_text())
     problems = validate_link(link)
     if not problems:
         print(f"ok: {len(link.components)} component(s), {link.n} vertices")
@@ -150,13 +145,12 @@ def cmd_diagram(args) -> int:
 
 def cube_dump(cube: Cube) -> str:
     lines = []
-    for word in sorted(cube.vertices):
-        vx = cube.vertices[word]
+    for word, vx in sorted(cube.vertices.items()):
         text = "".join(str(x) for x in word)
         cycles = vx.state.successor.cycle_str()
         orders = ",".join(str(g.group_order) for g in vx.groups)
         lines.append(f"vertex {text} {cycles} c={vx.c} orders={orders}")
-    for edge in sorted(cube.edges, key=lambda e: (str(e.star_word),)):
+    for edge in sorted(cube.edges, key=lambda e: str(e.star_word)):
         star = "".join(str(x) for x in edge.star_word)
         lines.append(f"edge {star} {edge.kind} {edge.sign:+d}")
     return "\n".join(lines) + "\n"
@@ -165,9 +159,7 @@ def cube_dump(cube: Cube) -> str:
 def cmd_cube(args) -> int:
     diagram, _link, _direction = _pipeline(args)
     order = _parse_order(args.order, diagram.k) if args.order else None
-    cube = build_cube(diagram, order=order)
-    text = cube_dump(cube)
-    _emit(text, args.output)
+    _emit(cube_dump(build_cube(diagram, order=order)), args.output)
     return 0
 
 
@@ -180,19 +172,25 @@ def cmd_jones(args) -> int:
     return 0
 
 
-def _check_generator_budget(cube: Cube, budget: int) -> None:
-    count = generator_count(cube)
+def _budgeted_cube(diagram: GoodDiagram, budget: int) -> Cube:
+    """The diagram's cube, unless its chain complex has more than ``budget``
+    generators: at least 2^(k+1), as every smoothing has a circle, checked
+    before the cube is built, and sum 2^c over its vertices after."""
+    count, cube = 2 << diagram.k, None
+    if count <= budget:
+        cube = build_cube(diagram)
+        count = sum(1 << vx.c for vx in cube.vertices.values())
     if count > budget:
+        least = "at least " if cube is None else ""
         raise KhovanovError(
-            f"the chain complex would have {count} generators, more than "
-            f"the budget of {budget} (--max-generators)")
+            f"the chain complex would have {least}{count} generators, more "
+            f"than the budget of {budget} (--max-generators)")
+    return cube
 
 
 def cmd_homology(args) -> int:
     diagram, _link, _direction = _pipeline(args)
-    cube = build_cube(diagram)
-    _check_generator_budget(cube, args.max_generators)
-    table = khovanov_homology(cube)
+    table = khovanov_homology(_budgeted_cube(diagram, args.max_generators))
     if args.format == "json":
         text = json.dumps([[i, j, d] for (i, j), d in sorted(table.items())])
         text += "\n"
@@ -221,8 +219,7 @@ def cmd_deform(args) -> int:
     elif args.add is not None:
         fields = args.add.split(",")
         if len(fields) != 5:
-            print("error: --add expects ci,pos,x,y,z", file=sys.stderr)
-            return 2
+            raise LinkFileError("--add expects ci,pos,x,y,z")
         ci, pos = parse_integer(fields[0]), parse_integer(fields[1])
         if not 0 <= ci < len(link.components):
             raise LinkFileError(f"--add: no component {ci} in a "
@@ -234,8 +231,7 @@ def cmd_deform(args) -> int:
         link2 = deform_add_vertex(link, ci, pos, point)
         print(f"added vertex at component {ci} position {pos}")
     else:
-        print("error: deform needs --remove or --add", file=sys.stderr)
-        return 2
+        raise LinkFileError("deform needs --remove or --add")
     if args.output:
         _emit(dump_link(link2), args.output)
     return 0
@@ -246,11 +242,9 @@ def cmd_deform(args) -> int:
 
 
 def _svg_coords(diagram: GoodDiagram):
-    xs = [float(q[0]) for q in diagram.vertices]
-    ys = [float(q[1]) for q in diagram.vertices]
-    for cr in diagram.crossings:
-        xs.append(float(cr.point[0]))
-        ys.append(float(cr.point[1]))
+    points = [*diagram.vertices, *(cr.point for cr in diagram.crossings)]
+    xs = [float(q[0]) for q in points]
+    ys = [float(q[1]) for q in points]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1.0)
@@ -276,26 +270,22 @@ def render_svg(diagram: GoodDiagram) -> str:
     for g in range(1, diagram.n + 1):
         h = diagram.successor(g)
         a, b = diagram.vertex(g), diagram.vertex(h)
-        cuts = under.get((g, h), [])
-        if not cuts:
-            segs = [(a, b)]
-        else:
-            # parameterize and leave a gap of radius 0.08 around each cut
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            length2 = dx * dx + dy * dy
-            ts = sorted(Fraction((c[0] - a[0]) * dx + (c[1] - a[1]) * dy,
-                                 length2) for c in cuts)
-            segs = []
-            lo = Fraction(0)
-            r = Fraction(2, 25)
-            for t in ts:
-                segs.append((lo, max(lo, t - r)))
-                lo = min(Fraction(1), t + r)
-                gaps += 1
-            segs.append((lo, Fraction(1)))
-            segs = [((a[0] + t0 * dx, a[1] + t0 * dy),
-                     (a[0] + t1 * dx, a[1] + t1 * dy))
-                    for (t0, t1) in segs if t1 > t0]
+        # parameterize and leave a gap of radius 0.08 around each cut
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        length2 = dx * dx + dy * dy
+        ts = sorted(Fraction((c[0] - a[0]) * dx + (c[1] - a[1]) * dy,
+                             length2) for c in under.get((g, h), []))
+        segs = []
+        lo = Fraction(0)
+        r = Fraction(2, 25)
+        for t in ts:
+            segs.append((lo, max(lo, t - r)))
+            lo = min(Fraction(1), t + r)
+        gaps += len(ts)
+        segs.append((lo, Fraction(1)))
+        segs = [((a[0] + t0 * dx, a[1] + t0 * dy),
+                 (a[0] + t1 * dx, a[1] + t1 * dy))
+                for (t0, t1) in segs if t1 > t0]
         for (pa, pb) in segs:
             (x1, y1), (x2, y2) = to_svg(pa), to_svg(pb)
             parts.append(f'<line class="strand" x1="{x1:.3f}" y1="{y1:.3f}" '
@@ -316,90 +306,78 @@ def render_svg(diagram: GoodDiagram) -> str:
 
 
 def cmd_verify(args) -> int:
-    results: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        results.append((name, ok, detail))
-
-    diagram, refined, direction = _pipeline(args)
-    rng = random.Random(args.seed)
-
-    # theorem vs trace along the default order, plus sampled orders
-    cube = None
-    try:
-        cube = build_cube(diagram)
-        record("theorem-trace", True,
-               f"k={diagram.k}" + (" (vacuous)" if diagram.k == 0 else ""))
-    except CubeError as exc:
-        record("theorem-trace", False, _mismatch_detail(exc))
-
-    if cube is not None and diagram.k > 1:
-        base = {w: vx.state.cycle_partition() for w, vx in cube.vertices.items()}
-        ok, detail = True, ""
-        for _ in range(min(args.trials, 5)):
-            order = list(range(1, diagram.k + 1))
-            rng.shuffle(order)
-            try:
-                other = build_cube(diagram, order=tuple(order))
-            except CubeError as exc:
-                ok, detail = False, f"order {order}: {_mismatch_detail(exc)}"
-                break
-            for w, vx in other.vertices.items():
-                if vx.state.cycle_partition() != base[w]:
-                    ok, detail = False, f"order {order}, word {w}"
-                    break
-            if not ok:
-                break
-        record("path-independence", ok, detail)
-
-    complex_ = None
-    if cube is not None:
-        _check_generator_budget(cube, args.max_generators)
-        try:
-            complex_ = build_complex(cube)
-            record("d-squared", True)
-        except KhovanovError as exc:
-            # grading violations break the Euler bookkeeping, not d^2
-            if "grading" in str(exc):
-                record("euler-identity", False, str(exc))
-            else:
-                record("d-squared", False, str(exc))
-
-    table = None
-    if cube is not None and complex_ is not None:
-        try:
-            table = homology(complex_)
-            j_hat = jones_state_sum(cube)
-            chain_ok = complex_.chain_euler() == j_hat
-            hom_ok = euler_characteristic(table) == j_hat
-            record("euler-identity", chain_ok and hom_ok,
-                   "" if chain_ok and hom_ok else
-                   f"chain={'ok' if chain_ok else 'FAIL'} "
-                   f"homology={'ok' if hom_ok else 'FAIL'}")
-        except KhovanovError as exc:
-            record("euler-identity", False, str(exc))
-
-    if table is not None:
-        ok, detail = _move_invariance(refined, direction, table, args.trials,
-                                      rng)
-        record("move-invariance", ok, detail)
-
-    failed = [r for r in results if not r[1]]
+    results = list(_checks(*_pipeline(args), args))
+    failed = sum(not ok for _name, ok, _detail in results)
     for name, ok, detail in results:
-        line = f"{'PASS' if ok else 'FAIL'} {name}"
-        if detail:
-            line += f": {detail}"
-        print(line)
-    print(f"{'OK' if not failed else 'FAILED'} "
-          f"({len(results) - len(failed)}/{len(results)} checks)")
+        print(f"{'PASS' if ok else 'FAIL'} {name}"
+              + (f": {detail}" if detail else ""))
+    print(f"{'FAILED' if failed else 'OK'} "
+          f"({len(results) - failed}/{len(results)} checks)")
     return 1 if failed else 0
+
+
+def _checks(diagram: GoodDiagram, link: PolygonalLink, direction, args):
+    """(name, ok, detail) for each check that the earlier results leave
+    meaningful: without a cube, a complex or a homology table the later
+    checks have nothing to check."""
+    rng = random.Random(args.seed)
+    try:
+        cube = _budgeted_cube(diagram, args.max_generators)
+    except CubeError as exc:
+        yield "theorem-trace", False, _mismatch_detail(exc)
+        return
+    yield ("theorem-trace", True,
+           f"k={diagram.k}" + (" (vacuous)" if diagram.k == 0 else ""))
+    if diagram.k > 1:
+        yield ("path-independence",
+               *_path_independence(diagram, cube, args.trials, rng))
+    try:
+        complex_ = build_complex(cube)
+    except KhovanovError as exc:
+        # grading violations break the Euler bookkeeping, not d^2
+        yield ("euler-identity" if "grading" in str(exc) else "d-squared",
+               False, str(exc))
+        return
+    yield "d-squared", True, ""
+    try:
+        table = homology(complex_)
+        j_hat = jones_state_sum(cube)
+        chain_ok = complex_.chain_euler() == j_hat
+        hom_ok = euler_characteristic(table) == j_hat
+    except KhovanovError as exc:
+        yield "euler-identity", False, str(exc)
+        return
+    yield ("euler-identity", chain_ok and hom_ok,
+           "" if chain_ok and hom_ok else
+           f"chain={'ok' if chain_ok else 'FAIL'} "
+           f"homology={'ok' if hom_ok else 'FAIL'}")
+    yield ("move-invariance",
+           *_move_invariance(link, direction, table, args.trials, rng))
+
+
+def _path_independence(diagram: GoodDiagram, cube: Cube, trials: int,
+                       rng: random.Random) -> tuple[bool, str]:
+    """Cubes along up to five shuffled orders must have the circles of
+    ``cube`` at every word."""
+    base = {w: vx.state.cycle_partition() for w, vx in cube.vertices.items()}
+    for _ in range(min(trials, 5)):
+        order = list(range(1, diagram.k + 1))
+        rng.shuffle(order)
+        try:
+            other = build_cube(diagram, order=tuple(order))
+        except CubeError as exc:
+            return False, f"order {order}: {_mismatch_detail(exc)}"
+        word = next((w for w, vx in other.vertices.items()
+                     if vx.state.cycle_partition() != base[w]), None)
+        if word is not None:
+            return False, f"order {order}, word {word}"
+    return True, ""
 
 
 def _mismatch_detail(exc: CubeError) -> str:
     word = getattr(exc, "word", None)
     if word is not None:
-        return (f"word {word}, crossing {exc.crossing}, "
-                f"choice {exc.choice}")
+        return f"word {word}, crossing {exc.crossing}, choice {exc.choice}"
     return str(exc)
 
 
@@ -408,22 +386,18 @@ def _move_invariance(link: PolygonalLink, direction, base_table,
     """Random insert/remove round trips: the insertion must preserve the
     homology table, and the removal must restore the link exactly."""
     done = 0
-    attempts = 0
-    current = link
-    while done < trials and attempts < 40 * max(trials, 1):
-        attempts += 1
-        ci = rng.randrange(len(current.components))
-        comp = current.components[ci]
-        pos = rng.randrange(len(comp))
-        lo, _hi = current.component_range(ci)
-        gl = lo + pos
-        gm = current.successor(gl)
-        a, b = current.vertex(gl), current.vertex(gm)
+    for _ in range(40 * max(trials, 1)):
+        if done == trials:
+            break
+        ci = rng.randrange(len(link.components))
+        pos = rng.randrange(len(link.components[ci]))
+        gl = link.component_range(ci)[0] + pos
+        a, b = link.vertex(gl), link.vertex(link.successor(gl))
         lam = Fraction(rng.randrange(1, 8), 8)
         off = [Fraction(rng.randrange(-4, 5), 16) for _ in range(3)]
         apex = tuple(a[i] + lam * (b[i] - a[i]) + off[i] for i in range(3))
         try:
-            link2 = deform_add_vertex(current, ci, pos, apex)
+            link2 = deform_add_vertex(link, ci, pos, apex)
             diagram2 = good_diagram_auto(link2, direction)[0]
         except (GeometryError, DiagramError):
             continue
@@ -441,7 +415,7 @@ def _move_invariance(link: PolygonalLink, direction, base_table,
             link3 = deform_remove_vertex(link2, gl + 1)
         except GeometryError as exc:
             return False, f"removal round-trip at ({ci},{pos}): {exc}"
-        if link3 != current:
+        if link3 != link:
             return False, f"removal at ({ci},{pos}) did not restore the link"
         done += 1
     if done < trials:
@@ -523,15 +497,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LinkFileError as exc:
+    except (LinkFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -288,12 +288,6 @@ class KhovanovComplex:
         return LaurentPoly(coeffs)
 
 
-def generator_count(cube: Cube) -> int:
-    """The size of the chain complex, sum of 2^c over the cube's vertices,
-    without building it."""
-    return sum(1 << vx.c for vx in cube.vertices.values())
-
-
 def build_complex(cube: Cube) -> KhovanovComplex:
     """Chain spaces, gradings and signed differential from the cube, with
     the q-grading and d^2 gates passed."""

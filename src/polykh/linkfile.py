@@ -84,13 +84,8 @@ def load_link(path) -> PolygonalLink:
 
 
 def dump_link(link: PolygonalLink) -> str:
-    lines = []
-    for comp in link.components:
-        toks = []
-        for p in comp:
-            toks.extend(str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                        for c in p)
-        lines.append("component " + " ".join(toks))
+    lines = ["component " + " ".join(str(c) for p in comp for c in p)
+             for comp in link.components]
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import polykh.cli
+import polykh.cube
 import polykh.geometry
 import polykh.khovanov
 from polykh.cli import main
@@ -65,6 +66,15 @@ class TestEntryPoint:
                            "--order", "1,2")
         assert proc.returncode == 2 and "bad order" in proc.stderr
 
+    @pytest.mark.parametrize("command", [
+        "validate", "diagram", "cube", "jones", "homology", "verify",
+        "deform", "svg"])
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: polykh {command}")
+
 
 class TestValidate:
     def test_ok(self, capsys):
@@ -84,8 +94,8 @@ class TestValidate:
         assert code == 2 and "line 1" in err
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "validate", "/nonexistent.link")
-        assert code == 2
+        code, out, err = run(capsys, "validate", "/nonexistent.link")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestDiagram:
@@ -301,6 +311,21 @@ class TestPolynomials:
                              ("--trials", "1") if command == "verify" else ()))
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["homology", "verify"])
+    def test_over_budget_fails_before_the_cube(self, capsys, monkeypatch,
+                                               command):
+        # twist12 has 58 crossings along the default direction: every
+        # smoothing has a circle, so its complex has at least 2^59
+        # generators, and the 2^58-vertex cube must not be built
+        def refused(*args, **kwargs):
+            raise AssertionError("the cube was built")
+        monkeypatch.setattr(polykh.cli, "build_cube", refused)
+        code, out, err = run(capsys, command, str(fixture_path("twist12")))
+        assert code == 1 and out == ""
+        assert err == (f"error: the chain complex would have at least "
+                       f"{2 ** 59} generators, more than the budget of "
+                       "10000000 (--max-generators)\n")
+
     def test_negative_budget_is_a_usage_error(self, capsys):
         # a negative budget exited 1 as if the complex were too large
         with pytest.raises(SystemExit) as exc:
@@ -384,6 +409,59 @@ class TestVerify:
         assert "FAIL euler-identity" in out
 
 
+    def test_theorem_trace_failure_is_the_only_check(self, capsys,
+                                                     monkeypatch):
+        # a formula that swaps two images on choice 1 disagrees with the
+        # trace oracle, so there is no cube for the later checks
+        real = polykh.cube._formula_images
+
+        def mutant(crossing, s, choice):
+            res = real(crossing, s, choice)
+            if choice == 1:
+                res[1], res[2] = res[2], res[1]
+            return res
+
+        monkeypatch.setattr(polykh.cube, "_formula_images", mutant)
+        code, out, _ = run(capsys, "verify", TREFOIL, "--dir", "0,0,1",
+                           "--trials", "2")
+        assert code == 1
+        assert out == ("FAIL theorem-trace: word (0, 0, 2), crossing 3, "
+                       "choice 1\n"
+                       "FAILED (0/1 checks)\n")
+
+    def test_path_independence_failure_flagged(self, capsys, monkeypatch):
+        # a reordered cube whose vertex 111 has the circles of 000
+        real = polykh.cli.build_cube
+
+        def mutant(diagram, order=None):
+            cube = real(diagram, order=order)
+            if order is not None:
+                cube.vertices[(1, 1, 1)] = cube.vertices[(0, 0, 0)]
+            return cube
+
+        monkeypatch.setattr(polykh.cli, "build_cube", mutant)
+        code, out, _ = run(capsys, "verify", TREFOIL, "--dir", "0,0,1",
+                           "--trials", "2", "--seed", "3")
+        assert code == 1
+        assert out == ("PASS theorem-trace: k=3\n"
+                       "FAIL path-independence: order [2, 3, 1], "
+                       "word (1, 1, 1)\n"
+                       "PASS d-squared\n"
+                       "PASS euler-identity\n"
+                       "PASS move-invariance: 2 deformation round trips\n"
+                       "FAILED (4/5 checks)\n")
+
+    def test_d_squared_failure_flagged(self, capsys, monkeypatch):
+        monkeypatch.setattr(polykh.khovanov, "_cancels", lambda *a: False)
+        code, out, _ = run(capsys, "verify", TREFOIL, "--dir", "0,0,1",
+                           "--trials", "2")
+        assert code == 1
+        assert out == ("PASS theorem-trace: k=3\n"
+                       "PASS path-independence\n"
+                       "FAIL d-squared: d^2 != 0 from (0, 0, 0) to "
+                       "(0, 1, 1)\n"
+                       "FAILED (2/3 checks)\n")
+
     def test_removal_not_restoring_link_flagged(self, capsys, monkeypatch):
         # negative control: a removal that returns another link, here the
         # same curve run backwards, whose homology table is the same, must
@@ -452,6 +530,14 @@ class TestDeform:
                              f"--add={fields}")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ((), "deform needs --remove or --add"),
+        (("--add", "0,2,1"), "--add expects ci,pos,x,y,z")])
+    def test_usage_errors(self, capsys, extra, message):
+        code, out, err = run(capsys, "deform", TREFOIL, "--dir", "0,0,1",
+                             *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("p", ["999", "10", "0", "-1"])
     def test_remove_bad_index(self, capsys, p):
