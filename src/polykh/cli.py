@@ -159,26 +159,26 @@ def cube_dump(cube: Cube) -> str:
 def cmd_cube(args) -> int:
     diagram, _link, _direction = _pipeline(args)
     order = _parse_order(args.order, diagram.k) if args.order else None
-    _emit(cube_dump(build_cube(diagram, order=order)), args.output)
+    _emit(cube_dump(_budgeted_cube(diagram, args.max_generators, order)),
+          args.output)
     return 0
 
 
 def cmd_jones(args) -> int:
     diagram, _link, _direction = _pipeline(args)
-    cube = build_cube(diagram)
-    j_hat = jones_state_sum(cube)
+    j_hat = jones_state_sum(_budgeted_cube(diagram, args.max_generators))
     print(f"J-hat = {j_hat.to_text()}")
     print(f"J = {normalized_jones(j_hat).to_text()}")
     return 0
 
 
-def _budgeted_cube(diagram: GoodDiagram, budget: int) -> Cube:
-    """The diagram's cube, unless its chain complex has more than ``budget``
-    generators: at least 2^(k+1), as every smoothing has a circle, checked
-    before the cube is built, and sum 2^c over its vertices after."""
+def _budgeted_cube(diagram: GoodDiagram, budget: int, order=None) -> Cube:
+    """The diagram's cube along ``order``, unless its complex has more than
+    ``budget`` generators: at least 2^(k+1), as every smoothing has a circle,
+    checked before the cube is built, and sum 2^c over its vertices after."""
     count, cube = 2 << diagram.k, None
     if count <= budget:
-        cube = build_cube(diagram)
+        cube = build_cube(diagram, order=order)
         count = sum(1 << vx.c for vx in cube.vertices.values())
     if count > budget:
         least = "at least " if cube is None else ""
@@ -453,20 +453,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=True)
     p.set_defaults(func=cmd_diagram)
 
-    p = sub.add_parser("cube", help="dump the cube of smoothings")
-    common(p)
-    p.add_argument("--order", default=None, help="resolution order, e.g. 2,1,3")
-    p.set_defaults(func=cmd_cube)
-
-    p = sub.add_parser("jones", help="unnormalized and normalized Jones polynomial")
-    common(p, output=False)
-    p.set_defaults(func=cmd_jones)
-
     def budget(p):
         p.add_argument("--max-generators", type=_count,
                        default=DEFAULT_MAX_GENERATORS,
                        help="refuse a chain complex with more generators "
                             f"(default {DEFAULT_MAX_GENERATORS})")
+
+    p = sub.add_parser("cube", help="dump the cube of smoothings")
+    common(p)
+    budget(p)
+    p.add_argument("--order", default=None, help="resolution order, e.g. 2,1,3")
+    p.set_defaults(func=cmd_cube)
+
+    p = sub.add_parser("jones", help="unnormalized and normalized Jones polynomial")
+    common(p, output=False)
+    budget(p)
+    p.set_defaults(func=cmd_jones)
 
     p = sub.add_parser("homology", help="Khovanov homology table")
     common(p, formats=True)

@@ -11,16 +11,16 @@ agree exactly.
 
 The steps run on image lists: a list s with s[0] = 0 and s[x] = sigma(x)
 stands for sigma.  Both oracles map a list to a new list, and the two lists
-are compared at every step.  A Permutation is built once per full smoothing.
-Its circles are interned through a pool that lives for one build, so each
-distinct oriented circle is one cycle tuple and one DihedralFactor, shared
-by every vertex that has it.
+are compared at every step.  A full smoothing's one Permutation walks its
+circles once, which checks the list is a bijection; they are interned
+through a pool that lives for one build, so each distinct oriented circle
+is one cycle tuple and one DihedralFactor, shared by the vertices with it.
 
 An edge is fixed by its two vertices: the star position, the two words and
 the change in circle count.  So nothing is stored per edge; ``Cube.edges``
-is an iterable view that reads them from the vertices, and the check that
-every edge changes the circle count by exactly one runs once when a cube is
-made.
+is a view that reads them from the vertices one position at a time, and
+the check that every edge changes the circle count by exactly one runs
+once when a cube is made, on circle counts indexed by word bit mask.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ class CubeMismatchError(CubeError):
 
     def __init__(self, message, word=None, crossing=None, choice=None):
         super().__init__(message)
-        self.word = word
-        self.crossing = crossing
-        self.choice = choice
+        self.word, self.crossing, self.choice = word, crossing, choice
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,18 +56,14 @@ class SmoothingState:
 
     def cycle_partition(self) -> frozenset:
         """Unoriented, unanchored circles: for orientation-insensitive equality."""
-        out = set()
-        for cyc in self.successor.cycles():
-            fwd = cyc
-            rev = (cyc[0],) + tuple(reversed(cyc[1:]))
-            out.add(min(fwd, rev))
-        return frozenset(out)
+        return frozenset(min(c, c[:1] + c[:0:-1])
+                         for c in self.successor.cycles())
 
 
 def initial_state(diagram: GoodDiagram) -> SmoothingState:
     """Word of all 2s; sigma = product of the component-successor cycles."""
-    word = (2,) * diagram.k
-    return SmoothingState(diagram, word, diagram.component_permutation())
+    return SmoothingState(diagram, (2,) * diagram.k,
+                          diagram.component_permutation())
 
 
 def _crossing_arcs(crossing: CrossingRecord, choice: int):
@@ -80,7 +74,7 @@ def _crossing_arcs(crossing: CrossingRecord, choice: int):
     1-smoothing of a negative one; the other pairing (i-v, j-w) is its
     complement.
     """
-    i, j, v, w = crossing.quadruple
+    i, j, v, w = crossing.i, crossing.j, crossing.v, crossing.w
     if (choice == 0) == (crossing.sign == 1):
         return ((i, w), (v, j))
     return ((i, v), (j, w))
@@ -110,19 +104,17 @@ def _trace_images(crossing: CrossingRecord, s: list[int],
     reversed link by link along sigma.  A remaining re-joined strand keeps
     the direction of sigma.  Every other vertex keeps its image under sigma.
     """
-    i, j, v, w = crossing.quadruple
+    i, j, v, w = crossing.i, crossing.j, crossing.v, crossing.w
     tail1, head1 = _locate_arc(s, i, j)
     tail2, head2 = _locate_arc(s, v, w)
     if _same_cycle(s, head1, head2):
-        strands = ((head1, tail2), (head2, tail1))
+        one, two = (head1, tail2), (head2, tail1)
     else:
-        strands = ((head1, tail1), (head2, tail2))
+        one, two = (head1, tail1), (head2, tail2)
     # an end of a strand -> (the strand, whether it is walked forward
     # when entered there)
-    ends = {}
-    for strand in strands:
-        ends[strand[0]] = (strand, True)
-        ends[strand[1]] = (strand, False)
+    ends = {one[0]: (one, True), one[1]: (one, False),
+            two[0]: (two, True), two[1]: (two, False)}
     (a, b), (c, d) = _crossing_arcs(crossing, choice)
     partner = {a: b, b: a, c: d, d: c}
 
@@ -205,20 +197,19 @@ def _reflection(p: list[int], a: int, b: int) -> list[int]:
 
 
 def _conjugate(a: list[int], g: list[int]) -> list[int]:
-    """conjugate(a, g) for an involution g: x -> g(a(g(x)))."""
-    return [g[a[g[x]]] for x in range(len(a))]
+    """conjugate(a, g) for an involution g: x -> g(a(g(x))); iterating g
+    gives g(x) for x = 0, 1, ..."""
+    return [g[a[y]] for y in g]
 
 
 def _reversed_cycles(p: list[int], members) -> list[int]:
     """Reverse every cycle of p that contains a member of ``members``."""
     q = p[:]
-    done = set()
     for x in members:
-        if x in done:
-            continue
+        if q[x] != p[x]:
+            continue        # x's cycle is reversed already
         y = x
         while True:
-            done.add(y)
             q[p[y]] = y
             y = p[y]
             if y == x:
@@ -246,7 +237,7 @@ def _formula_images(crossing: CrossingRecord, s: list[int],
     When sigma maps j->i, these identities fix the reversed orientation of
     the parent, so the circles through i and v are reversed back.
     """
-    i, j, v, w = crossing.quadruple
+    i, j, v, w = crossing.i, crossing.j, crossing.v, crossing.w
     fwd = s[i] == j
     if not (fwd or s[j] == i) or not (s[v] == w or s[w] == v):
         raise CubeError(f"crossing {crossing.index}: neither arc of "
@@ -265,7 +256,7 @@ def _formula_images(crossing: CrossingRecord, s: list[int],
     return res if fwd else _reversed_cycles(res, (i, v))
 
 
-def _step(diagram: GoodDiagram, word: tuple[int, ...], s: list[int], l: int,
+def _step(diagram: GoodDiagram, word: Sequence[int], s: list[int], l: int,
           choice: int) -> list[int]:
     """One resolution step on image lists: the trace oracle and the closed
     formulas both resolve crossing l of the smoothing (word, s), and their
@@ -275,10 +266,10 @@ def _step(diagram: GoodDiagram, word: tuple[int, ...], s: list[int], l: int,
     formula = _formula_images(crossing, s, choice)
     if formula != traced:
         raise CubeMismatchError(
-            f"formula/trace mismatch at word {word}, crossing {l}, "
+            f"formula/trace mismatch at word {tuple(word)}, crossing {l}, "
             f"choice {choice}: formula {_cycle_text(formula)} vs "
             f"trace {_cycle_text(traced)}",
-            word=word, crossing=l, choice=choice)
+            word=tuple(word), crossing=l, choice=choice)
     return formula
 
 
@@ -369,45 +360,43 @@ class CubeEdges:
     def __init__(self, vertices: dict[tuple[int, ...], CubeVertex]):
         self.vertices = vertices
 
-    @property
-    def _k(self) -> int:
-        return len(next(iter(self.vertices))) if self.vertices else 0
-
-    def _walk(self):
-        """(pos, tail, head, c_tail, c_head, sign) of every edge, in order."""
-        bits = [1 << pos for pos in range(self._k)]
-        rows = [(sum(compress(bits, word)), word, len(vx.groups))
-                for word, vx in self.vertices.items()]
-        by_mask = {mask: (word, c) for mask, word, c in rows}
-        for pos, bit in enumerate(bits):
-            left = bit - 1
-            for mask, tail, c_tail in rows:
-                if not mask & bit:
-                    head, c_head = by_mask[mask | bit]
-                    yield (pos, tail, head, c_tail, c_head,
-                           -1 if (mask & left).bit_count() & 1 else 1)
-
     def core(self):
         """(tail, head, kind, sign) of every edge, in order, without star
         words.  The kind is read from the circle counts and checked by
         nothing: a cube's counts were checked when it was made."""
-        for _, tail, head, c_tail, c_head, sign in self._walk():
-            yield tail, head, "merge" if c_head < c_tail else "split", sign
-
-    def check(self) -> None:
-        """Every edge merges or splits: its circle count changes by one."""
-        for _, tail, head, c_tail, c_head, _ in self._walk():
-            if c_head - c_tail not in (1, -1):
-                raise CubeError(f"edge {tail}->{head}: circle count changed "
-                                f"by {c_head - c_tail}")
+        bits, masks, words, counts = _by_mask(self.vertices)
+        for bit in bits:
+            left = bit - 1
+            yield from [(words[m], words[m | bit],
+                         "merge" if counts[m | bit] < counts[m] else "split",
+                         -1 if (m & left).bit_count() & 1 else 1)
+                        for m in masks if not m & bit]
 
     def __iter__(self):
-        for pos, tail, head, c_tail, c_head, sign in self._walk():
+        bits, masks, words, counts = _by_mask(self.vertices)
+        for pos, bit in enumerate(bits):
+            left = bit - 1
             # CubeEdge(star_word, tail, head, kind, sign), without the
             # Python-level __new__ of a NamedTuple
-            yield tuple.__new__(CubeEdge, (
-                tail[:pos] + _STAR + tail[pos + 1:], tail, head,
-                "merge" if c_head < c_tail else "split", sign))
+            yield from [tuple.__new__(CubeEdge, (
+                tail[:pos] + _STAR + tail[pos + 1:], tail, words[m | bit],
+                "merge" if counts[m | bit] < counts[m] else "split",
+                -1 if (m & left).bit_count() & 1 else 1))
+                for m in masks if not m & bit for tail in (words[m],)]
+
+
+def _by_mask(vertices: dict[tuple[int, ...], CubeVertex]):
+    """(bits, masks, words, counts): the bit of each position, the bit mask
+    of the 1s of each word in the order of ``vertices``, and the words and
+    circle counts indexed by mask."""
+    k = len(next(iter(vertices), ()))
+    bits = [1 << pos for pos in range(k)]
+    masks = [sum(compress(bits, word)) for word in vertices]
+    words, counts = [None] * (1 << k), [0] * (1 << k)
+    for mask, (word, vx) in zip(masks, vertices.items()):
+        words[mask] = word
+        counts[mask] = len(vx.groups)
+    return bits, masks, words, counts
 
 
 @dataclass(frozen=True)
@@ -426,9 +415,9 @@ def _full_smoothing(diagram: GoodDiagram, word: tuple[int, ...],
                    images: list[int], circles: dict) -> CubeVertex:
     """The cube vertex of the full smoothing with image list ``images``.
 
-    Its one Permutation checks that the list is a bijection; the circles are
-    walked once and interned through ``circles``, the build's pool of
-    DihedralFactors by cycle tuple.
+    Its one Permutation walks the circles once, which checks that the list
+    is a bijection; the walked cycles are interned through ``circles``, the
+    build's pool of DihedralFactors by cycle tuple.
     """
     successor = Permutation(images[1:])
     return CubeVertex(word, SmoothingState(diagram, word, successor),
@@ -438,10 +427,15 @@ def _full_smoothing(diagram: GoodDiagram, word: tuple[int, ...],
 def _made_cube(diagram: GoodDiagram, order: tuple[int, ...],
                vertices: dict[tuple[int, ...], CubeVertex]) -> Cube:
     """The cube over ``vertices``, once every edge is checked to change the
-    circle count by exactly one."""
-    edges = CubeEdges(vertices)
-    edges.check()
-    return Cube(diagram, order, vertices, edges)
+    circle count by exactly one, in the order of ``Cube.edges``."""
+    bits, masks, words, counts = _by_mask(vertices)
+    for bit in bits:
+        for m in masks:
+            if not m & bit and counts[m | bit] - counts[m] not in (1, -1):
+                raise CubeError(f"edge {words[m]}->{words[m | bit]}: circle "
+                                f"count changed by "
+                                f"{counts[m | bit] - counts[m]}")
+    return Cube(diagram, order, vertices, CubeEdges(vertices))
 
 
 def build_cube(diagram: GoodDiagram,
@@ -453,35 +447,36 @@ def build_cube(diagram: GoodDiagram,
     Deterministic for a fixed order.
     """
     k = diagram.k
-    if order is None:
-        order = tuple(range(1, k + 1))
-    order = tuple(order)
+    order = tuple(range(1, k + 1)) if order is None else tuple(order)
     if sorted(order) != list(range(1, k + 1)):
         raise CubeError(f"order must be a permutation of 1..{k}: {order}")
 
     vertices: dict[tuple[int, ...], CubeVertex] = {}
     # sigma of the word of all 2s: the component successors
     s = [0, *map(diagram.successor, range(1, diagram.n + 1))]
-    _descend(diagram, order, 0, (2,) * k, s, vertices, {})
+    _descend(diagram, order, 0, [2] * k, s, vertices, {})
     return _made_cube(diagram, order, vertices)
 
 
 def _descend(diagram: GoodDiagram, order: tuple[int, ...], depth: int,
-             word: tuple[int, ...], s: list[int], vertices: dict,
+             letters: list[int], s: list[int], vertices: dict,
              circles: dict) -> None:
     """Resolve the crossings ``order[depth:]`` names, choice 0 before
     choice 1, and put every full smoothing into ``vertices``, its circles
-    interned through ``circles``.
+    interned through ``circles``.  ``letters`` is the word as a list, set
+    and restored in place around each choice.
 
     A module-level function, not a closure over ``vertices``: a recursive
     closure is a reference cycle, which kept every cube alive until the
     next full garbage collection.
     """
     if depth == len(order):
+        word = tuple(letters)
         vertices[word] = _full_smoothing(diagram, word, s, circles)
         return
     l = order[depth]
     for choice in (0, 1):
-        _descend(diagram, order, depth + 1,
-                 word[:l - 1] + (choice,) + word[l:],
-                 _step(diagram, word, s, l, choice), vertices, circles)
+        t = _step(diagram, letters, s, l, choice)
+        letters[l - 1] = choice
+        _descend(diagram, order, depth + 1, letters, t, vertices, circles)
+        letters[l - 1] = 2

@@ -289,7 +289,7 @@ def _renumber_index(x: int, p: int) -> int:
 def _renumbered(s: list[int], p: int) -> list[int]:
     """Drop the fixed point p of the image list s and shift higher indices
     down by one."""
-    return [_renumber_index(y, p) for y in s[:p] + s[p + 1:]]
+    return [y - (y > p) for y in s[:p] + s[p + 1:]]
 
 
 def _substituted(s: list[int], a: int, p: int) -> list[int]:
@@ -400,8 +400,7 @@ def transform_cube(cube: Cube, move: TriangleMove) -> tuple[Cube, list[str]]:
             f"{move.tag} has no closed cube substitution; recompute the cube "
             "from the deformed diagram")
 
-    vertices = {}
-    circles: dict = {}
+    vertices, circles = {}, {}
     for word, vx in cube.vertices.items():
         s = [0, *vx.state.successor.images]
         if lc is not None:

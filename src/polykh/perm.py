@@ -24,12 +24,35 @@ class Permutation:
     __slots__ = ("images", "_cycles")
 
     def __init__(self, images: Sequence[int]):
+        """Walk the cycles of ``images`` once, each from its least index:
+        the walk is the check that they are a bijection on 1..n, and the
+        cycles it yields are kept."""
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise PermError(f"not a bijection on 1..{n}: {images}")
-        self.images = images
-        self._cycles = None
+        todo = [0, *images]     # todo[x] = 0 once x is walked
+        cycles = []
+        try:    # an entry that is not an int fails as an index or below
+            if n and min(images) < 1:
+                raise IndexError
+            for x in range(1, n + 1):
+                y = todo[x]
+                if not y:
+                    continue
+                todo[x] = 0
+                cyc = [x]
+                while y != x and y:     # a walked index reads as 0
+                    cyc.append(y)
+                    z = todo[y]
+                    todo[y] = 0
+                    y = z
+                if y != x or type(y) is not int:
+                    # the walk met an index twice, or closed on an entry
+                    # that only equals x
+                    raise IndexError
+                cycles.append(tuple(cyc))
+        except (IndexError, TypeError):
+            raise PermError(f"not a bijection on 1..{n}: {images}") from None
+        self.images, self._cycles = images, tuple(cycles)
 
     @property
     def n(self) -> int:
@@ -47,51 +70,28 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated min-first, sorted by minimum.
 
-        Fixed points are included as 1-cycles.  Each cycle is walked from
-        the least index not yet seen, which is its minimum.  The walk runs
-        once per permutation; every call returns a new list of the same
-        cycle tuples.
+        Fixed points are included as 1-cycles.  The constructor walked
+        them; every call returns a new list of the same cycle tuples.
         """
-        if self._cycles is None:
-            todo = [0, *self.images]     # todo[x] = 0 once x is walked
-            out = []
-            for x in range(1, len(todo)):
-                y = todo[x]
-                if not y:
-                    continue
-                cyc = [x]
-                todo[x] = 0
-                while y != x:
-                    cyc.append(y)
-                    z = todo[y]
-                    todo[y] = 0
-                    y = z
-                out.append(tuple(cyc))
-            self._cycles = tuple(out)
         return list(self._cycles)
 
     def dihedral_factors(self, pool: dict) -> tuple["DihedralFactor", ...]:
         """One DihedralFactor per cycle, in the order of ``cycles()``.
 
         ``pool`` maps each cycle tuple met so far to its factor; a cycle
-        found there takes that factor, and a new one is added.  The cached
+        found there takes that factor, and a new one is added.  The kept
         cycles become the factors' own tuples, so permutations that share a
         pool hold one tuple and one factor per distinct cycle.
         """
-        factors = []
-        for cyc in self.cycles():
-            factor = pool.get(cyc)
-            if factor is None:
-                factor = pool[cyc] = DihedralFactor(cyc)
-            factors.append(factor)
+        get, add = pool.get, pool.setdefault
+        factors = tuple([get(cyc) or add(cyc, DihedralFactor(cyc))
+                         for cyc in self._cycles])
         self._cycles = tuple([f.cycle for f in factors])
-        return tuple(factors)
+        return factors
 
     def cycle_str(self) -> str:
-        cycs = [c for c in self.cycles() if len(c) > 1]
-        if not cycs:
-            return "()"
-        return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cycs)
+        return "".join("(" + ",".join(map(str, c)) + ")"
+                       for c in self._cycles if len(c) > 1) or "()"
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_str()}, n={self.n})"

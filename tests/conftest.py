@@ -93,6 +93,26 @@ def square_link():
 # image-list formulas transcribe.  compose(a, b) applies b first and then a.
 
 
+def is_bijection(images) -> bool:
+    """Whether the list ``images`` lists 1..n in some order: the reference
+    for the bijection check of Permutation's cycle walk."""
+    return sorted(images) == list(range(1, len(images) + 1))
+
+
+def reference_cycles(images) -> list[tuple[int, ...]]:
+    """The cycles of a bijection's image list, walked plainly from each
+    index not yet in a cycle: min-first, sorted by minimum."""
+    out, seen = [], set()
+    for x in range(1, len(images) + 1):
+        if x not in seen:
+            cyc = [x]
+            while images[cyc[-1] - 1] != x:
+                cyc.append(images[cyc[-1] - 1])
+            seen.update(cyc)
+            out.append(tuple(cyc))
+    return out
+
+
 def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
@@ -236,25 +256,31 @@ def reference_edges(vertices):
 
 
 def miscounted(full_smoothing, word, delta):
-    """``full_smoothing`` with vertex ``word`` given ``delta`` (+1 or -1)
-    circles more, so that each of its edges changes the count by 0 or 2."""
+    """``full_smoothing`` with vertex ``word`` given ``delta`` circles more
+    (fewer if negative).  With delta = +-1 each of its edges changes the
+    count by 0 or 2; with delta = +-2 only its edges to the vertices with
+    one circle fewer (more) break."""
     def wrapped(diagram, w, images, circles):
         vx = full_smoothing(diagram, w, images, circles)
         if w != word:
             return vx
-        return replace(vx, groups=(vx.groups + vx.groups[:1] if delta > 0
-                                   else vx.groups[1:]))
+        return replace(vx, groups=(vx.groups + vx.groups[:1] * delta
+                                   if delta > 0 else vx.groups[-delta:]))
     return wrapped
 
 
 def miscount_message(cube, word, delta):
     """The circle-count check's message for the first edge of ``cube`` at
-    vertex ``word``, once that vertex has ``delta`` circles more."""
-    edge = next(e for e in cube.edges if word in (e.tail, e.head))
-    c_tail, c_head = (cube.vertices[w].c + (delta if w == word else 0)
-                      for w in (edge.tail, edge.head))
-    return (f"edge {edge.tail}->{edge.head}: circle count changed by "
-            f"{c_head - c_tail}")
+    vertex ``word`` whose count no longer changes by one once that vertex
+    has ``delta`` circles more."""
+    for edge in cube.edges:
+        if word in (edge.tail, edge.head):
+            c_tail, c_head = (cube.vertices[w].c + (delta if w == word else 0)
+                              for w in (edge.tail, edge.head))
+            if abs(c_head - c_tail) != 1:
+                return (f"edge {edge.tail}->{edge.head}: circle count "
+                        f"changed by {c_head - c_tail}")
+    raise AssertionError(f"no edge at {word} breaks")
 
 
 def random_link(rng: random.Random) -> PolygonalLink:

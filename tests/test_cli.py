@@ -299,24 +299,29 @@ class TestPolynomials:
         assert code == 0
         assert out == "0\t-1\t1\n0\t1\t1\n"
 
-    @pytest.mark.parametrize("command", ["homology", "verify"])
+    @pytest.mark.parametrize("command", ["homology", "verify", "cube",
+                                         "jones"])
     def test_generator_budget(self, capsys, command):
-        # the trefoil's complex has 4 + 6 + 12 + 8 = 30 generators
+        # the trefoil's complex has 4 + 6 + 12 + 8 = 30 generators; every
+        # command that builds the cube counts them, `cube` along its order
+        extra = {"verify": ("--trials", "1"),
+                 "cube": ("--order", "3,1,2")}.get(command, ())
         code, _, err = run(capsys, command, TREFOIL, "--dir", "0,0,1",
-                           "--max-generators", "29")
+                           "--max-generators", "29", *extra)
         assert code == 1
         assert "30 generators" in err and "budget of 29" in err
         code, _, _ = run(capsys, command, TREFOIL, "--dir", "0,0,1",
-                         "--max-generators", "30", *(
-                             ("--trials", "1") if command == "verify" else ()))
+                         "--max-generators", "30", *extra)
         assert code == 0
 
-    @pytest.mark.parametrize("command", ["homology", "verify"])
+    @pytest.mark.parametrize("command", ["homology", "verify", "cube",
+                                         "jones"])
     def test_over_budget_fails_before_the_cube(self, capsys, monkeypatch,
                                                command):
         # twist12 has 58 crossings along the default direction: every
         # smoothing has a circle, so its complex has at least 2^59
-        # generators, and the 2^58-vertex cube must not be built
+        # generators, and the 2^58-vertex cube must not be built; `jones`
+        # ran into gigabytes before it had this bound
         def refused(*args, **kwargs):
             raise AssertionError("the cube was built")
         monkeypatch.setattr(polykh.cli, "build_cube", refused)

@@ -14,6 +14,7 @@ from polykh.cube import (CubeError, CubeMismatchError, initial_state, resolve,
                          smooth_crossing_trace, build_cube,
                          _crossing_arcs, _locate_arc)
 from polykh import build_good_diagram, load_fixture
+from polykh.moves import classify_triangle_move, transform_cube
 
 from conftest import (DIR_Z, compose, conjugate, cycle_containing,
                       cycle_partition, from_cycles, miscounted,
@@ -353,18 +354,33 @@ def word_of(diagram, s):
 
 
 class TestBuildWork:
-    def test_one_permutation_per_vertex_two_oracles_per_step(
-            self, whitehead_diagram, monkeypatch):
-        # steps stay on image lists: build_cube makes one Permutation per
-        # full smoothing, and compares the formula with the trace on every
-        # one of the 2^(k+1) - 2 steps
-        k = whitehead_diagram.k
-        built, compared = [], []
-        init = Permutation.__init__
+    @staticmethod
+    def counted(monkeypatch):
+        """Lists that grow by one for each Permutation made and for each
+        call of its ``cycles()``."""
+        built, walked = [], []
+        init, cycles = Permutation.__init__, Permutation.cycles
 
         def counting_init(self, images):
             built.append(1)
             init(self, images)
+
+        def counting_cycles(self):
+            walked.append(1)
+            return cycles(self)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        monkeypatch.setattr(Permutation, "cycles", counting_cycles)
+        return built, walked
+
+    def test_one_permutation_per_vertex_two_oracles_per_step(
+            self, whitehead_diagram, monkeypatch):
+        # steps stay on image lists: build_cube makes one Permutation per
+        # full smoothing, whose constructor walks its cycles once, and
+        # compares the formula with the trace on every one of the
+        # 2^(k+1) - 2 steps
+        k = whitehead_diagram.k
+        compared = []
 
         class Compared(list):
             __hash__ = None
@@ -378,12 +394,26 @@ class TestBuildWork:
                 return list.__ne__(self, other)
 
         trace = cube_module._trace_images
-        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        built, walked = self.counted(monkeypatch)
         monkeypatch.setattr(cube_module, "_trace_images",
                             lambda *args: Compared(trace(*args)))
         cube = build_cube(whitehead_diagram)
         assert len(cube.vertices) == len(built) == 2 ** k
         assert len(compared) == 2 ** (k + 1) - 2
+        assert not walked
+
+    def test_one_permutation_per_kept_vertex_of_a_move(self, monkeypatch):
+        # removing vertex 5 of kink5 is a C1 move: transform_cube makes one
+        # Permutation per vertex and walks no cycles again
+        link = load_fixture("kink5")
+        diagram = build_good_diagram(link, DIR_Z)
+        move = classify_triangle_move(diagram, 5, link=link)
+        assert move.tag == "C1"
+        cube = build_cube(diagram)
+        built, walked = self.counted(monkeypatch)
+        moved, _ = transform_cube(cube, move)
+        assert len(moved.vertices) == len(built) == 2 ** diagram.k
+        assert not walked
 
 
 def sibling_relations(state, l):
@@ -567,15 +597,29 @@ class TestEdges:
         assert len(cube.vertices) == 1024
         assert size / len(cube.vertices) < 1000
 
-    @pytest.mark.parametrize("delta", [1, -1])
-    def test_circle_count_check_names_the_edge(self, trefoil_diagram,
-                                               monkeypatch, delta):
-        word = (0, 1, 1)
-        message = miscount_message(build_cube(trefoil_diagram), word, delta)
+    @pytest.mark.parametrize("name, order, word, delta", [
+        pytest.param("trefoil9", None, (0, 1, 1), 1, id="1"),
+        pytest.param("trefoil9", None, (0, 1, 1), -1, id="-1"),
+        # two circles more or fewer break only some edges of the vertex:
+        # its first bad edge is at position 2, then 4
+        pytest.param("whitehead12", None, (0, 1, 0, 1, 0), 2,
+                     id="whitehead12-2"),
+        pytest.param("whitehead12", None, (0, 0, 0, 0, 1), -2,
+                     id="whitehead12--2"),
+        # at position 1 here, but the first bad edge met vertex by vertex
+        # is at position 4
+        pytest.param("whitehead12", (5, 3, 1, 4, 2), (0, 1, 1, 1, 1), 2,
+                     id="whitehead12-order-2"),
+    ])
+    def test_circle_count_check_names_the_edge(self, monkeypatch, name,
+                                               order, word, delta):
+        diagram = build_good_diagram(load_fixture(name), DIR_Z)
+        message = miscount_message(build_cube(diagram, order=order), word,
+                                   delta)
         monkeypatch.setattr(cube_module, "_full_smoothing", miscounted(
             cube_module._full_smoothing, word, delta))
         with pytest.raises(CubeError, match=f"^{re.escape(message)}$"):
-            build_cube(trefoil_diagram)
+            build_cube(diagram, order=order)
 
     def test_edge_count_and_star_words(self, trefoil_cube):
         assert len(list(trefoil_cube.edges)) == 3 * 2 ** 2

@@ -7,11 +7,24 @@ from hypothesis import given, strategies as st
 from polykh.perm import PermError, Permutation, DihedralFactor
 
 from conftest import (compose, conjugate, from_cycles, identity, inverse,
-                      parse_cycles, reflection_xi, transposition)
+                      is_bijection, parse_cycles, reference_cycles,
+                      reflection_xi, transposition)
 
 
 def rand_perm(n):
     return st.permutations(range(1, n + 1)).map(Permutation)
+
+
+@st.composite
+def image_lists(draw):
+    """A permutation of 1..n as a list, or one with an entry replaced by
+    another entry, by 0, by n + 1 or by -n."""
+    n = draw(st.integers(0, 9))
+    images = draw(st.permutations(range(1, n + 1)))
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        images[i] = draw(st.sampled_from(images + [0, n + 1, -n]))
+    return images
 
 
 class TestBasics:
@@ -32,6 +45,30 @@ class TestBasics:
     def test_from_cycles_duplicate_rejected(self):
         with pytest.raises(PermError):
             from_cycles(4, [(1, 2), (2, 3)])
+
+
+class TestBijectionWalk:
+    @given(image_lists())
+    def test_accepts_exactly_the_bijections(self, images):
+        try:
+            p = Permutation(images)
+        except PermError as exc:
+            assert not is_bijection(images)
+            assert str(exc) == (f"not a bijection on 1..{len(images)}: "
+                                f"{tuple(images)}")
+        else:
+            assert is_bijection(images)
+            assert p.cycles() == reference_cycles(images)
+
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, n + 1)),
+                            st.integers(0, n - 1))))
+    def test_float_entry_rejected(self, case):
+        # a float equal to an index passed a check by sorting
+        images, i = case
+        images[i] = float(images[i])
+        with pytest.raises(PermError, match="not a bijection"):
+            Permutation(images)
 
 
 class TestComposition:
